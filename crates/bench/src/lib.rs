@@ -11,8 +11,9 @@
 //! raises the level to `summary` so its `BENCH_*.json` document can
 //! carry a per-phase wall-time breakdown (noise sampling vs frame
 //! propagation vs reduction vs plan compilation) and the run metadata
-//! (worker count, plan-cache capacity, observability level) needed to
-//! compare timings across machines and PRs.
+//! (git revision, core count, worker count, plan-cache capacity,
+//! observability level) needed to compare timings across machines and
+//! PRs.
 
 #![warn(missing_docs)]
 
@@ -53,10 +54,17 @@ pub mod obs {
 
     /// Run metadata attached to every perf-bench JSON document, so
     /// recorded timings can be compared across machines and PRs:
-    /// the resolved session worker count, the plan-cache capacity,
-    /// and the observability level the run executed under.
+    /// the checkout's git revision, the host's available cores, the
+    /// resolved session worker count, the plan-cache capacity, and
+    /// the observability level the run executed under.
     pub fn run_metadata() -> Value {
+        let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
         Value::Obj(vec![
+            (
+                "git_rev".into(),
+                git_rev().unwrap_or_else(|| "unknown".into()).to_value(),
+            ),
+            ("available_parallelism".into(), cores.to_value()),
             (
                 "workers".into(),
                 ca_sim::plan::worker_count(None, usize::MAX).to_value(),
@@ -67,6 +75,24 @@ pub mod obs {
             ),
             ("obs_level".into(), ca_obs::level().name().to_value()),
         ])
+    }
+
+    /// The revision checked out at the workspace root, read from
+    /// `.git` directly; `None` outside a git clone.
+    fn git_rev() -> Option<String> {
+        let git = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.git");
+        let head = std::fs::read_to_string(format!("{git}/HEAD")).ok()?;
+        let Some(name) = head.trim().strip_prefix("ref: ") else {
+            return Some(head.trim().to_string());
+        };
+        if let Ok(rev) = std::fs::read_to_string(format!("{git}/{name}")) {
+            return Some(rev.trim().to_string());
+        }
+        let packed = std::fs::read_to_string(format!("{git}/packed-refs")).ok()?;
+        packed.lines().find_map(|line| {
+            let (rev, refname) = line.split_once(' ')?;
+            (refname == name).then(|| rev.to_string())
+        })
     }
 
     /// Seconds attributed to each instrumented phase since `base`:

@@ -290,17 +290,19 @@ impl Simulator {
         seed: u64,
     ) -> Result<RunResult, SimError> {
         let plan = self.plan(sc)?;
-        self.run_counts_dense_plan(&plan, shots, seed, None)
+        self.run_counts_dense_plan(&plan, shots, seed, None, None)
     }
 
     /// [`Self::run_counts_dense`] over a prebuilt plan — the entry the
     /// compiled-artifact layer uses so cached plans skip replanning.
+    /// `workers` caps the shot threads (see [`crate::plan::worker_count`]);
     /// `cancel` is polled at shot-chunk boundaries.
     pub(crate) fn run_counts_dense_plan(
         &self,
         plan: &ExecutionPlan,
         shots: usize,
         seed: u64,
+        workers: Option<usize>,
         cancel: Option<&crate::cancel::CancelToken>,
     ) -> Result<RunResult, SimError> {
         debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
@@ -308,6 +310,7 @@ impl Simulator {
         let parts = map_shots(
             shots,
             seed,
+            workers,
             cancel,
             std::collections::BTreeMap::<u64, usize>::new,
             |rng, counts| {
@@ -330,23 +333,27 @@ impl Simulator {
         seed: u64,
     ) -> Result<Vec<f64>, SimError> {
         let plan = self.plan(sc)?;
-        self.expect_paulis_dense_plan(&plan, paulis, shots, seed, None)
+        self.expect_paulis_dense_plan(&plan, paulis, shots, seed, None, None)
     }
 
-    /// [`Self::expect_paulis_dense`] over a prebuilt plan. `cancel` is
-    /// polled at shot-chunk boundaries.
+    /// [`Self::expect_paulis_dense`] over a prebuilt plan, with the
+    /// worker cap and cancellation of [`Self::run_counts_dense_plan`].
+    /// The per-chunk sums fold in chunk order, so the result does not
+    /// depend on the worker count.
     pub(crate) fn expect_paulis_dense_plan(
         &self,
         plan: &ExecutionPlan,
         paulis: &[PauliString],
         shots: usize,
         seed: u64,
+        workers: Option<usize>,
         cancel: Option<&crate::cancel::CancelToken>,
     ) -> Result<Vec<f64>, SimError> {
         debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
         let parts = map_shots(
             shots,
             seed,
+            workers,
             cancel,
             || vec![0.0; paulis.len()],
             |rng, acc| {

@@ -649,50 +649,65 @@ pub fn chunk_seed(seed: u64, start: usize) -> u64 {
     seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(start as u64 + 1))
 }
 
-/// Runs `shots` across scoped worker threads. Chunk boundaries and
+/// Runs `shots` across scoped worker threads and returns **one
+/// accumulator per shot chunk, in chunk order**. Chunk boundaries and
 /// per-chunk RNG streams are fixed by the seed alone (workers pick up
-/// chunks in a strided pattern), so classical counts are bit-for-bit
-/// reproducible across machines; floating-point accumulations are
-/// reproducible up to summation order. Returns the per-worker
-/// accumulators for the caller to merge. The single fan-out used by
-/// both engines' `run_counts` and `expect_paulis`.
+/// chunks in a strided pattern), and every chunk starts from a fresh
+/// accumulator, so a caller that folds the returned accumulators in
+/// order gets bit-identical results — floating-point sums included —
+/// on any machine and at any worker count. `workers` resolves through
+/// [`worker_count`]. The single fan-out used by the dense engine's
+/// `run_counts` and `expect_paulis`.
 ///
 /// `cancel` is polled at every chunk boundary, as in
 /// [`map_shots_indexed`].
 pub fn map_shots<Acc: Send>(
     shots: usize,
     seed: u64,
+    workers: Option<usize>,
     cancel: Option<&crate::cancel::CancelToken>,
     new_acc: impl Fn() -> Acc + Sync,
     per_shot: impl Fn(&mut rand::rngs::StdRng, &mut Acc) + Sync,
 ) -> Result<Vec<Acc>, SimError> {
     use rand::SeedableRng;
     let chunks = chunk_ranges(shots);
-    let workers = worker_count(None, chunks.len());
-    std::thread::scope(|scope| {
+    let workers = worker_count(workers, chunks.len());
+    let per_worker = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let chunks = &chunks;
                 let new_acc = &new_acc;
                 let per_shot = &per_shot;
-                scope.spawn(move || -> Result<Acc, SimError> {
-                    let mut acc = new_acc();
-                    for &(start, len) in chunks.iter().skip(w).step_by(workers) {
-                        crate::cancel::check_opt(cancel)?;
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(chunk_seed(seed, start));
-                        for _ in 0..len {
-                            per_shot(&mut rng, &mut acc);
-                        }
-                    }
-                    Ok(acc)
+                scope.spawn(move || -> Result<Vec<Acc>, SimError> {
+                    chunks
+                        .iter()
+                        .skip(w)
+                        .step_by(workers)
+                        .map(|&(start, len)| {
+                            crate::cancel::check_opt(cancel)?;
+                            let mut rng =
+                                rand::rngs::StdRng::seed_from_u64(chunk_seed(seed, start));
+                            let mut acc = new_acc();
+                            for _ in 0..len {
+                                per_shot(&mut rng, &mut acc);
+                            }
+                            Ok(acc)
+                        })
+                        .collect()
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("shot thread")) // ca-lint: allow(panic) -- fail-stop on worker panic; salvaging a partial batch would corrupt results
-            .collect()
-    })
+            .collect::<Result<Vec<_>, SimError>>()
+    })?;
+    // Worker `w` ran chunks `w, w + workers, …`, so dealing one
+    // accumulator from each worker in turn restores chunk order.
+    let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+    Ok((0..chunks.len())
+        .filter_map(|c| per_worker[c % workers].next())
+        .collect())
 }
 
 #[cfg(test)]
@@ -722,6 +737,24 @@ mod tests {
         assert!((total - sc.duration).abs() < 1e-9);
         assert_eq!(plan.edge_pairs, vec![(0, 1)]);
         assert_eq!(plan.incident[0], vec![0]);
+    }
+
+    #[test]
+    fn map_shots_returns_chunks_in_order_at_any_worker_count() {
+        use rand::RngExt;
+        let run = |workers| {
+            map_shots(1000, 9, Some(workers), None, Vec::new, |rng, acc| {
+                acc.push(rng.random::<u64>())
+            })
+            .unwrap()
+        };
+        let serial = run(1);
+        let lens: Vec<usize> = serial.iter().map(Vec::len).collect();
+        let chunk_lens: Vec<usize> = chunk_ranges(1000).iter().map(|&(_, len)| len).collect();
+        assert_eq!(lens, chunk_lens);
+        for workers in 2..=5 {
+            assert_eq!(run(workers), serial, "{workers} workers");
+        }
     }
 
     #[test]

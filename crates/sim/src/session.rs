@@ -169,7 +169,7 @@ impl CompiledCircuit {
                     });
                 }
                 self.sim
-                    .run_counts_dense_plan(&self.plan, shots, self.seed, cancel)
+                    .run_counts_dense_plan(&self.plan, shots, self.seed, workers, cancel)
             }
             CompiledBackend::Serial(frame) => frame.counts(
                 &self.sim,
@@ -225,7 +225,7 @@ impl CompiledCircuit {
                     });
                 }
                 self.sim
-                    .expect_paulis_dense_plan(&self.plan, paulis, shots, self.seed, cancel)
+                    .expect_paulis_dense_plan(&self.plan, paulis, shots, self.seed, workers, cancel)
             }
             CompiledBackend::Serial(frame) => frame.expectations(
                 &self.sim,

@@ -2,6 +2,22 @@
 //! 1q/2q unitaries, fast diagonal Z/ZZ rotations (the coherent-error
 //! workhorse), Pauli expectations, projective measurement, and
 //! single-qubit Kraus-channel sampling for amplitude damping.
+//!
+//! Every kernel walks the index blocks its qubits split the amplitude
+//! vector into (`chunks_exact_mut(2·bit)` halves) instead of testing
+//! `i & bit` on all `2ⁿ` indices, and looks at its matrix once per
+//! call: diagonal, anti-diagonal and sparse (at most two non-zeros per
+//! row) matrices take shorter paths than the dense formula.
+//!
+//! **Exactness rule.** The shortcuts never change a result bit. A path
+//! may drop only terms whose matrix entry is exactly `0` and skip only
+//! multiplications by an exact `1`; every product and sum that remains
+//! runs in the order of the dense formula — no reassociation, no fused
+//! multiply-add, and no new reduction order in [`State::renormalize`],
+//! branch weights or [`State::prob_one`]. Dropping `0·x` can only turn
+//! a `−0` into `+0`, so amplitudes compare equal (`==` per component)
+//! to the dense formula's, which the `#[cfg(test)]` reference kernels
+//! at the end of this file check on random states.
 
 use ca_circuit::c64::{C64, ONE, ZERO};
 use ca_circuit::matrix::{Mat2, Mat4};
@@ -57,15 +73,37 @@ impl State {
 
     /// Applies a 2×2 unitary to qubit `q`.
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        let (m00, m01, m10, m11) = (m.0[0][0], m.0[0][1], m.0[1][0], m.0[1][1]);
-        for i in 0..self.amps.len() {
-            if i & bit == 0 {
-                let j = i | bit;
-                let a0 = self.amps[i];
-                let a1 = self.amps[j];
-                self.amps[i] = m00 * a0 + m01 * a1;
-                self.amps[j] = m10 * a0 + m11 * a1;
+        let [[m00, m01], [m10, m11]] = m.0;
+        let halves = self
+            .amps
+            .chunks_exact_mut(2 * bit)
+            .map(|block| block.split_at_mut(bit));
+        if m01 == ZERO && m10 == ZERO {
+            for (lo, hi) in halves {
+                scale_unless_one(lo, m00);
+                scale_unless_one(hi, m11);
+            }
+        } else if m00 == ZERO && m11 == ZERO {
+            if m01 == ONE && m10 == ONE {
+                for (lo, hi) in halves {
+                    lo.swap_with_slice(hi);
+                }
+            } else {
+                for (lo, hi) in halves {
+                    for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
+                        (*x0, *x1) = (m01 * *x1, m10 * *x0);
+                    }
+                }
+            }
+        } else {
+            for (lo, hi) in halves {
+                for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let (a0, a1) = (*x0, *x1);
+                    *x0 = m00 * a0 + m01 * a1;
+                    *x1 = m10 * a0 + m11 * a1;
+                }
             }
         }
     }
@@ -73,59 +111,67 @@ impl State {
     /// Applies a 4×4 unitary to qubits `(a, b)` where `a` is the
     /// low-order index bit of the matrix (first listed operand).
     pub fn apply_2q(&mut self, m: &Mat4, a: usize, b: usize) {
-        assert_ne!(a, b);
-        let ba = 1usize << a;
-        let bb = 1usize << b;
-        for i in 0..self.amps.len() {
-            if i & ba == 0 && i & bb == 0 {
-                let idx = [i, i | ba, i | bb, i | ba | bb];
-                let v = [
-                    self.amps[idx[0]],
-                    self.amps[idx[1]],
-                    self.amps[idx[2]],
-                    self.amps[idx[3]],
-                ];
-                for (r, &out_i) in idx.iter().enumerate() {
-                    let mut acc = ZERO;
-                    for (c, &vc) in v.iter().enumerate() {
-                        acc += m.0[r][c] * vc;
-                    }
-                    self.amps[out_i] = acc;
+        assert!(a != b && a.max(b) < self.n, "bad qubit pair ({a}, {b})");
+        match sparse_rows(m) {
+            Some(rows) => for_each_quad(&mut self.amps, a, b, |p| {
+                let v = p.each_ref().map(|x| **x);
+                for (out, [(c0, e0), (c1, e1)]) in p.into_iter().zip(rows) {
+                    *out = e0 * v[c0] + e1 * v[c1];
                 }
-            }
+            }),
+            None => for_each_quad(&mut self.amps, a, b, |p| {
+                let v = p.each_ref().map(|x| **x);
+                for (out, row) in p.into_iter().zip(&m.0) {
+                    let mut acc = ZERO;
+                    for (&e, &vc) in row.iter().zip(&v) {
+                        acc += e * vc;
+                    }
+                    *out = acc;
+                }
+            }),
         }
     }
 
     /// Fast diagonal: `Rz(θ)` on `q`.
     pub fn apply_rz(&mut self, theta: f64, q: usize) {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
         let e0 = C64::cis(-theta / 2.0);
         let e1 = C64::cis(theta / 2.0);
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            *a *= if i & bit == 0 { e0 } else { e1 };
+        for block in self.amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            scale(lo, e0);
+            scale(hi, e1);
         }
     }
 
     /// Fast diagonal: `Rzz(θ)` on `(a, b)`.
     pub fn apply_rzz(&mut self, theta: f64, a: usize, b: usize) {
-        let ba = 1usize << a;
-        let bb = 1usize << b;
+        assert!(a != b && a.max(b) < self.n, "bad qubit pair ({a}, {b})");
+        let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
         let even = C64::cis(-theta / 2.0);
         let odd = C64::cis(theta / 2.0);
-        for (i, amp) in self.amps.iter_mut().enumerate() {
-            let parity = ((i & ba != 0) as u8) ^ ((i & bb != 0) as u8);
-            *amp *= if parity == 0 { even } else { odd };
+        // Quadrants by (hi bit, lo bit): equal bits get `even`.
+        for block in self.amps.chunks_exact_mut(2 * hi) {
+            let (h0, h1) = block.split_at_mut(hi);
+            for (half, first, second) in [(h0, even, odd), (h1, odd, even)] {
+                for sub in half.chunks_exact_mut(2 * lo) {
+                    let (l0, l1) = sub.split_at_mut(lo);
+                    scale(l0, first);
+                    scale(l1, second);
+                }
+            }
         }
     }
 
     /// Probability that qubit `q` reads 1.
     pub fn prob_one(&self, q: usize) -> f64 {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
         self.amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
+            .chunks_exact(2 * bit)
+            .flat_map(|block| &block[bit..])
+            .map(|a| a.norm_sqr())
             .sum()
     }
 
@@ -140,11 +186,12 @@ impl State {
 
     /// Forces qubit `q` into the given outcome (collapse + renormalise).
     pub fn project(&mut self, q: usize, outcome: bool) {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if (i & bit != 0) != outcome {
-                *a = ZERO;
-            }
+        for block in self.amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            let cleared = if outcome { lo } else { hi };
+            cleared.fill(ZERO);
         }
         self.renormalize();
     }
@@ -160,51 +207,51 @@ impl State {
     /// Pauli-X on qubit `q`: swaps the paired amplitudes directly, so
     /// the classical flip in [`Self::reset`] needs no gate matrix.
     pub fn apply_x(&mut self, q: usize) {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        for i in 0..self.amps.len() {
-            if i & bit == 0 {
-                self.amps.swap(i, i | bit);
-            }
+        for block in self.amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            lo.swap_with_slice(hi);
         }
     }
 
     /// Expectation value of a signed Pauli string (real by Hermiticity).
     pub fn expect_pauli(&self, p: &PauliString) -> f64 {
         assert_eq!(p.paulis.len(), self.n);
+        // P|i⟩ = phase·|i ^ flip⟩, phase = i^{#Y}·(−1)^{popcount(i & minus)}
+        // (Y|0⟩ = i|1⟩, Y|1⟩ = −i|0⟩, Z|1⟩ = −|1⟩).
+        let (mut flip, mut minus, mut ys) = (0usize, 0usize, 0u32);
+        for (q, pq) in p.paulis.iter().enumerate() {
+            let bit = 1usize << q;
+            match pq {
+                Pauli::I => {}
+                Pauli::X => flip |= bit,
+                Pauli::Y => {
+                    flip |= bit;
+                    minus |= bit;
+                    ys += 1;
+                }
+                Pauli::Z => minus |= bit,
+            }
+        }
+        // ⟨ψ|P|ψ⟩ = Σ_i Re(conj(ψ_j)·phase·ψ_i) with j = i ^ flip. A
+        // phase of ±1 or ±i only selects and negates the two real
+        // products below, exactly as the complex product would.
+        let odd_ys = ys % 2 == 1;
+        let negate_base = ys % 4 >= 2;
         let mut acc = 0.0;
         for (i, a) in self.amps.iter().enumerate() {
             if a.norm_sqr() < 1e-30 {
                 continue;
             }
-            // ⟨ψ|P|ψ⟩ = Σ_i conj(ψ_{j(i)})·phase_i·ψ_i where P|i⟩ = phase·|j⟩.
-            let mut j = i;
-            let mut phase = C64::real(1.0);
-            for (q, pq) in p.paulis.iter().enumerate() {
-                let bit = 1usize << q;
-                let b = i & bit != 0;
-                match pq {
-                    Pauli::I => {}
-                    Pauli::X => {
-                        j ^= bit;
-                    }
-                    Pauli::Y => {
-                        j ^= bit;
-                        // Y|0⟩ = i|1⟩, Y|1⟩ = −i|0⟩.
-                        phase *= if b {
-                            C64::new(0.0, -1.0)
-                        } else {
-                            C64::new(0.0, 1.0)
-                        };
-                    }
-                    Pauli::Z => {
-                        if b {
-                            phase = -phase;
-                        }
-                    }
-                }
-            }
-            let term = self.amps[j].conj() * phase * *a;
-            acc += term.re;
+            let b = self.amps[i ^ flip];
+            let term = if odd_ys {
+                b.im * a.re - b.re * a.im
+            } else {
+                b.re * a.re + b.im * a.im
+            };
+            let negate = negate_base ^ ((i & minus).count_ones() % 2 == 1);
+            acc += if negate { -term } else { term };
         }
         acc * p.sign as f64
     }
@@ -225,14 +272,16 @@ impl State {
 
     /// Applies one branch of a single-qubit Kraus channel, sampled with
     /// the Born weights (Monte-Carlo wavefunction step). The Kraus set
-    /// must satisfy `Σ K†K = I`.
+    /// must satisfy `Σ K†K = I`, so the last branch takes whatever
+    /// weight the others leave and is never computed.
     pub fn apply_kraus_1q(&mut self, kraus: &[Mat2], q: usize, rng: &mut impl RngExt) {
         let r: f64 = rng.random();
         let mut acc = 0.0;
         for (idx, k) in kraus.iter().enumerate() {
-            let w = self.branch_weight(k, q);
-            acc += w;
-            if r < acc || idx == kraus.len() - 1 {
+            if idx + 1 < kraus.len() {
+                acc += self.branch_weight(k, q);
+            }
+            if idx + 1 == kraus.len() || r < acc {
                 self.apply_1q(k, q);
                 self.renormalize();
                 return;
@@ -240,15 +289,23 @@ impl State {
         }
     }
 
-    /// ‖K|ψ⟩‖² for a 1q operator K on qubit `q`.
+    /// ‖K|ψ⟩‖² for a 1q operator K on qubit `q`, summed in index order.
     fn branch_weight(&self, k: &Mat2, q: usize) -> f64 {
         let bit = 1usize << q;
+        let [[k00, k01], [k10, k11]] = k.0;
+        let pairs = self
+            .amps
+            .chunks_exact(2 * bit)
+            .flat_map(|block| block[..bit].iter().zip(&block[bit..]));
         let mut w = 0.0;
-        for i in 0..self.amps.len() {
-            if i & bit == 0 {
-                let j = i | bit;
-                let n0 = k.0[0][0] * self.amps[i] + k.0[0][1] * self.amps[j];
-                let n1 = k.0[1][0] * self.amps[i] + k.0[1][1] * self.amps[j];
+        if k01 == ZERO && k10 == ZERO {
+            for (&a0, &a1) in pairs {
+                w += times_unless_one(k00, a0).norm_sqr() + times_unless_one(k11, a1).norm_sqr();
+            }
+        } else {
+            for (&a0, &a1) in pairs {
+                let n0 = k00 * a0 + k01 * a1;
+                let n1 = k10 * a0 + k11 * a1;
                 w += n0.norm_sqr() + n1.norm_sqr();
             }
         }
@@ -264,6 +321,71 @@ impl State {
             .map(|(a, b)| b.conj() * *a)
             .sum();
         ip.norm_sqr()
+    }
+}
+
+/// `x ← x·e` over a slice.
+fn scale(xs: &mut [C64], e: C64) {
+    for x in xs {
+        *x *= e;
+    }
+}
+
+/// [`scale`], skipped when `e` is exactly one.
+fn scale_unless_one(xs: &mut [C64], e: C64) {
+    if e != ONE {
+        scale(xs, e);
+    }
+}
+
+/// `e·x`, or `x` itself when `e` is exactly one.
+fn times_unless_one(e: C64, x: C64) -> C64 {
+    if e == ONE {
+        x
+    } else {
+        e * x
+    }
+}
+
+/// Each row of a 4×4 matrix as its non-zero `(column, entry)` pairs in
+/// column order, padded with a zero entry (whose `0·x` term leaves the
+/// row's sum unchanged), or `None` when some row has more than two
+/// non-zeros (ECR, CX, CZ and SWAP-like gates have at most two).
+fn sparse_rows(m: &Mat4) -> Option<[[(usize, C64); 2]; 4]> {
+    let mut rows = [[(0, ZERO); 2]; 4];
+    for (row, entries) in rows.iter_mut().zip(&m.0) {
+        let mut nonzeros = entries.iter().enumerate().filter(|(_, &e)| e != ZERO);
+        for slot in row.iter_mut() {
+            if let Some((c, &e)) = nonzeros.next() {
+                *slot = (c, e);
+            }
+        }
+        if nonzeros.next().is_some() {
+            return None;
+        }
+    }
+    Some(rows)
+}
+
+/// Calls `f` on every group of four amplitudes that differ only in
+/// bits `a` and `b`, ordered by the matrix index of
+/// [`State::apply_2q`]: `(neither, a, b, both)`.
+fn for_each_quad(amps: &mut [C64], a: usize, b: usize, mut f: impl FnMut([&mut C64; 4])) {
+    let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
+    for block in amps.chunks_exact_mut(2 * hi) {
+        let (h0, h1) = block.split_at_mut(hi);
+        for (s0, s1) in h0.chunks_exact_mut(2 * lo).zip(h1.chunks_exact_mut(2 * lo)) {
+            let (x00, x01) = s0.split_at_mut(lo);
+            let (x10, x11) = s1.split_at_mut(lo);
+            for (((p00, p01), p10), p11) in x00.iter_mut().zip(x01).zip(x10).zip(x11) {
+                // `p01` has only the lower of the two bits set.
+                if a < b {
+                    f([p00, p01, p10, p11]);
+                } else {
+                    f([p00, p10, p01, p11]);
+                }
+            }
+        }
     }
 }
 
@@ -419,5 +541,333 @@ mod tests {
         let b = State::basis(1, 1);
         assert!(a.fidelity(&b).abs() < TOL);
         assert!((a.fidelity(&a) - 1.0).abs() < TOL);
+    }
+}
+
+/// The index-testing kernels the blocked ones replaced, kept as the
+/// oracle for the module's exactness rule.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn apply_1q(s: &mut State, m: &Mat2, q: usize) {
+        let bit = 1usize << q;
+        let (m00, m01, m10, m11) = (m.0[0][0], m.0[0][1], m.0[1][0], m.0[1][1]);
+        for i in 0..s.amps.len() {
+            if i & bit == 0 {
+                let j = i | bit;
+                let a0 = s.amps[i];
+                let a1 = s.amps[j];
+                s.amps[i] = m00 * a0 + m01 * a1;
+                s.amps[j] = m10 * a0 + m11 * a1;
+            }
+        }
+    }
+
+    pub fn apply_2q(s: &mut State, m: &Mat4, a: usize, b: usize) {
+        let ba = 1usize << a;
+        let bb = 1usize << b;
+        for i in 0..s.amps.len() {
+            if i & ba == 0 && i & bb == 0 {
+                let idx = [i, i | ba, i | bb, i | ba | bb];
+                let v = idx.map(|k| s.amps[k]);
+                for (r, &out_i) in idx.iter().enumerate() {
+                    let mut acc = ZERO;
+                    for (c, &vc) in v.iter().enumerate() {
+                        acc += m.0[r][c] * vc;
+                    }
+                    s.amps[out_i] = acc;
+                }
+            }
+        }
+    }
+
+    pub fn apply_rz(s: &mut State, theta: f64, q: usize) {
+        let bit = 1usize << q;
+        let e0 = C64::cis(-theta / 2.0);
+        let e1 = C64::cis(theta / 2.0);
+        for (i, a) in s.amps.iter_mut().enumerate() {
+            *a *= if i & bit == 0 { e0 } else { e1 };
+        }
+    }
+
+    pub fn apply_rzz(s: &mut State, theta: f64, a: usize, b: usize) {
+        let ba = 1usize << a;
+        let bb = 1usize << b;
+        let even = C64::cis(-theta / 2.0);
+        let odd = C64::cis(theta / 2.0);
+        for (i, amp) in s.amps.iter_mut().enumerate() {
+            let parity = ((i & ba != 0) as u8) ^ ((i & bb != 0) as u8);
+            *amp *= if parity == 0 { even } else { odd };
+        }
+    }
+
+    pub fn prob_one(s: &State, q: usize) -> f64 {
+        let bit = 1usize << q;
+        s.amps
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i & bit != 0)
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
+    }
+
+    pub fn project(s: &mut State, q: usize, outcome: bool) {
+        let bit = 1usize << q;
+        for (i, a) in s.amps.iter_mut().enumerate() {
+            if (i & bit != 0) != outcome {
+                *a = ZERO;
+            }
+        }
+        s.renormalize();
+    }
+
+    pub fn apply_x(s: &mut State, q: usize) {
+        let bit = 1usize << q;
+        for i in 0..s.amps.len() {
+            if i & bit == 0 {
+                s.amps.swap(i, i | bit);
+            }
+        }
+    }
+
+    pub fn expect_pauli(s: &State, p: &PauliString) -> f64 {
+        let mut acc = 0.0;
+        for (i, a) in s.amps.iter().enumerate() {
+            if a.norm_sqr() < 1e-30 {
+                continue;
+            }
+            let mut j = i;
+            let mut phase = C64::real(1.0);
+            for (q, pq) in p.paulis.iter().enumerate() {
+                let bit = 1usize << q;
+                let b = i & bit != 0;
+                match pq {
+                    Pauli::I => {}
+                    Pauli::X => j ^= bit,
+                    Pauli::Y => {
+                        j ^= bit;
+                        phase *= if b {
+                            C64::new(0.0, -1.0)
+                        } else {
+                            C64::new(0.0, 1.0)
+                        };
+                    }
+                    Pauli::Z => {
+                        if b {
+                            phase = -phase;
+                        }
+                    }
+                }
+            }
+            let term = s.amps[j].conj() * phase * *a;
+            acc += term.re;
+        }
+        acc * p.sign as f64
+    }
+
+    pub fn branch_weight(s: &State, k: &Mat2, q: usize) -> f64 {
+        let bit = 1usize << q;
+        let mut w = 0.0;
+        for i in 0..s.amps.len() {
+            if i & bit == 0 {
+                let j = i | bit;
+                let n0 = k.0[0][0] * s.amps[i] + k.0[0][1] * s.amps[j];
+                let n1 = k.0[1][0] * s.amps[i] + k.0[1][1] * s.amps[j];
+                w += n0.norm_sqr() + n1.norm_sqr();
+            }
+        }
+        w
+    }
+
+    pub fn apply_kraus_1q(s: &mut State, kraus: &[Mat2], q: usize, rng: &mut impl RngExt) {
+        let r: f64 = rng.random();
+        let mut acc = 0.0;
+        for (idx, k) in kraus.iter().enumerate() {
+            acc += branch_weight(s, k, q);
+            if r < acc || idx == kraus.len() - 1 {
+                apply_1q(s, k, q);
+                s.renormalize();
+                return;
+            }
+        }
+    }
+}
+
+/// The blocked kernels against [`reference`]: equal amplitudes (`==`
+/// per component, so `±0` compare equal) and equal reductions on
+/// random states, for every gate matrix and structured random ones.
+#[cfg(test)]
+mod exactness {
+    use super::*;
+    use crate::noise::amplitude_damping_kraus;
+    use ca_circuit::Gate;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A normalised random state. Some amplitudes are exactly zero and
+    /// some tiny, so the `±0` and `< 1e-30` cases get exercised.
+    fn random_state(n: usize, rng: &mut StdRng) -> State {
+        let mut s = State::zero(n);
+        for a in &mut s.amps {
+            *a = match rng.random_range(0..8u32) {
+                0 => ZERO,
+                1 => C64::new(1e-17, -1e-18),
+                _ => C64::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5),
+            };
+        }
+        s.amps[0] = C64::new(0.5, 0.25);
+        s.renormalize();
+        s
+    }
+
+    fn angle(rng: &mut StdRng) -> f64 {
+        rng.random_range(-7.0..7.0)
+    }
+
+    /// A matrix entry that is exactly zero, exactly one, or random.
+    fn entry(rng: &mut StdRng, zero_weight: u32) -> C64 {
+        match rng.random_range(0..zero_weight + 2) {
+            0 => ONE,
+            1 => C64::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5),
+            _ => ZERO,
+        }
+    }
+
+    fn one_qubit_matrices(rng: &mut StdRng) -> Vec<Mat2> {
+        let mut gates = vec![
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Sx,
+            Gate::Sxdg,
+        ];
+        for _ in 0..2 {
+            gates.push(Gate::Rx(angle(rng)));
+            gates.push(Gate::Ry(angle(rng)));
+            gates.push(Gate::Rz(angle(rng)));
+            gates.push(Gate::U {
+                theta: angle(rng),
+                phi: angle(rng),
+                lam: angle(rng),
+            });
+        }
+        let mut out: Vec<Mat2> = gates.iter().filter_map(Gate::matrix1).collect();
+        out.extend(amplitude_damping_kraus(rng.random()));
+        for zero_weight in [0, 1, 3] {
+            for _ in 0..4 {
+                let mut m = Mat2::zero();
+                for e in m.0.iter_mut().flatten() {
+                    *e = entry(rng, zero_weight);
+                }
+                out.push(m);
+            }
+        }
+        out
+    }
+
+    fn two_qubit_matrices(rng: &mut StdRng) -> Vec<Mat4> {
+        let mut gates = vec![Gate::Cx, Gate::Cz, Gate::Ecr];
+        for _ in 0..2 {
+            gates.push(Gate::Rzz(angle(rng)));
+            gates.push(Gate::Can {
+                alpha: angle(rng),
+                beta: angle(rng),
+                gamma: angle(rng),
+            });
+        }
+        let mut out: Vec<Mat4> = gates.iter().filter_map(Gate::matrix2).collect();
+        let mut swap = Mat4::zero();
+        for (r, c) in [(0, 0), (1, 2), (2, 1), (3, 3)] {
+            swap.0[r][c] = ONE;
+        }
+        out.push(swap);
+        for zero_weight in [0, 2, 6] {
+            for _ in 0..4 {
+                let mut m = Mat4::zero();
+                for e in m.0.iter_mut().flatten() {
+                    *e = entry(rng, zero_weight);
+                }
+                out.push(m);
+            }
+        }
+        out
+    }
+
+    fn random_pauli(n: usize, rng: &mut StdRng) -> PauliString {
+        let mut p = PauliString::identity(n);
+        for pq in &mut p.paulis {
+            *pq = Pauli::ALL[rng.random_range(0..4usize)];
+        }
+        p.sign = if rng.random::<bool>() { 1 } else { -1 };
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn blocked_kernels_match_reference(n in 1..11usize, seed in 0..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = random_state(n, &mut rng);
+            for q in 0..n {
+                for m in one_qubit_matrices(&mut rng) {
+                    let (mut got, mut want) = (s.clone(), s.clone());
+                    got.apply_1q(&m, q);
+                    reference::apply_1q(&mut want, &m, q);
+                    prop_assert_eq!(&got.amps, &want.amps, "apply_1q {:?} on {}", m, q);
+                    prop_assert_eq!(s.branch_weight(&m, q), reference::branch_weight(&s, &m, q));
+                }
+                let theta = angle(&mut rng);
+                let (mut got, mut want) = (s.clone(), s.clone());
+                got.apply_rz(theta, q);
+                reference::apply_rz(&mut want, theta, q);
+                prop_assert_eq!(&got.amps, &want.amps, "apply_rz on {}", q);
+                let (mut got, mut want) = (s.clone(), s.clone());
+                got.apply_x(q);
+                reference::apply_x(&mut want, q);
+                prop_assert_eq!(&got.amps, &want.amps, "apply_x on {}", q);
+                prop_assert_eq!(s.prob_one(q), reference::prob_one(&s, q));
+                for outcome in [false, true] {
+                    let (mut got, mut want) = (s.clone(), s.clone());
+                    got.project(q, outcome);
+                    reference::project(&mut want, q, outcome);
+                    prop_assert_eq!(&got.amps, &want.amps, "project {} on {}", outcome, q);
+                }
+                let kraus = amplitude_damping_kraus(rng.random());
+                let draw = rng.random::<u64>();
+                let (mut got, mut want) = (s.clone(), s.clone());
+                got.apply_kraus_1q(&kraus, q, &mut StdRng::seed_from_u64(draw));
+                reference::apply_kraus_1q(&mut want, &kraus, q, &mut StdRng::seed_from_u64(draw));
+                prop_assert_eq!(&got.amps, &want.amps, "amplitude damping on {}", q);
+            }
+            // Both operand orders: every ordered pair of distinct qubits.
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    for m in two_qubit_matrices(&mut rng) {
+                        let (mut got, mut want) = (s.clone(), s.clone());
+                        got.apply_2q(&m, a, b);
+                        reference::apply_2q(&mut want, &m, a, b);
+                        prop_assert_eq!(&got.amps, &want.amps, "apply_2q {:?} on ({}, {})", m, a, b);
+                    }
+                    let theta = angle(&mut rng);
+                    let (mut got, mut want) = (s.clone(), s.clone());
+                    got.apply_rzz(theta, a, b);
+                    reference::apply_rzz(&mut want, theta, a, b);
+                    prop_assert_eq!(&got.amps, &want.amps, "apply_rzz on ({}, {})", a, b);
+                }
+            }
+            for _ in 0..16 {
+                let p = random_pauli(n, &mut rng);
+                prop_assert_eq!(s.expect_pauli(&p), reference::expect_pauli(&s, &p), "{:?}", p);
+            }
+        }
     }
 }

@@ -913,3 +913,58 @@ fn twirl_ensemble_fast_path_matches_independent_compilation() {
         }
     }
 }
+
+/// Dense-engine expectations are bit-identical at every worker count
+/// and on both `Session::submit` paths: each shot chunk sums into its
+/// own accumulator and the chunks fold in chunk order. 800 shots make
+/// seven chunks, which no worker count from 2 to 6 divides evenly;
+/// the pinned bits are the chunk-ordered fold.
+#[test]
+fn dense_expectations_identical_across_worker_counts() {
+    use ca_sim::{InsertionSet, Job, Session};
+    const N: usize = 8;
+    const PINNED: [u64; 4] = [
+        0x3fed_d4c2_6f5b_5fb8,
+        0xbfb6_2bc6_1736_de91,
+        0xbf91_e9a4_6c56_24b5,
+        0x3fbb_e31e_4d27_e75a,
+    ];
+    let mut qc = Circuit::new(N, 0);
+    for q in 0..N {
+        qc.ry(0.3 + 0.11 * q as f64, q);
+    }
+    for q in 0..N - 1 {
+        qc.cx(q, q + 1);
+    }
+    for q in 0..N {
+        qc.rx(0.2 + 0.07 * q as f64, q);
+    }
+    let sc = schedule_asap(&qc, GateDurations::default());
+    let obs: Vec<PauliString> = ["ZIIIIIII", "XXIIIIII", "IIYZIIXI", "-ZZZZZZZZ"]
+        .iter()
+        .map(|p| PauliString::parse(p).unwrap())
+        .collect();
+    let (shots, seed) = (800, 7);
+    let session = Session::new(Simulator::with_engine(
+        uniform_device(Topology::line(N), 60.0),
+        NoiseConfig::default(),
+        Engine::Statevector,
+    ));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let compiled = session.compiled(&sc, seed).unwrap();
+    assert_eq!(compiled.engine_name(), "statevector");
+    for workers in [1usize, 2, 3] {
+        let got = compiled
+            .expect_paulis(&obs, shots, &InsertionSet::empty(), Some(workers))
+            .unwrap();
+        assert_eq!(bits(&got), PINNED, "{workers} workers");
+    }
+    let job = Job::expect(sc.clone(), obs.clone(), shots, seed);
+    let lone = session.submit(std::slice::from_ref(&job));
+    let batch = session.submit(&[job.clone(), job]);
+    for out in lone.iter().chain(&batch) {
+        let got = out.as_ref().unwrap().expectations().unwrap();
+        assert_eq!(bits(got), PINNED, "submit path");
+    }
+}
