@@ -56,7 +56,8 @@ pub mod obs {
     /// recorded timings can be compared across machines and PRs:
     /// the checkout's git revision, the host's available cores, the
     /// resolved session worker count, the plan-cache capacity, and
-    /// the observability level the run executed under.
+    /// the observability level and the seed schedule the run executed
+    /// under.
     pub fn run_metadata() -> Value {
         let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
         Value::Obj(vec![
@@ -74,6 +75,10 @@ pub mod obs {
                 ca_sim::session::plan_cache_capacity_from_env().to_value(),
             ),
             ("obs_level".into(), ca_obs::level().name().to_value()),
+            (
+                "seed_schedule".into(),
+                ca_sim::plan::seed_schedule_from_env().name().to_value(),
+            ),
         ])
     }
 

@@ -24,11 +24,13 @@
 //!   the serial engine uses for shot `64·b + j`;
 //! * the pending Z/ZZ banks are RNG-*independent* (the stochastic
 //!   rate multiplies the signed time only at flush), so the entire
-//!   bank evolution is precomputed **once per plan** into a linear
-//!   [`BatchOp`] program. At run time a batch walks that program and
-//!   makes, per lane, exactly the draws the serial sampler makes per
-//!   shot, in the same order — Bernoulli masks are assembled one lane
-//!   bit at a time and applied to the planes word-wise.
+//!   bank evolution is precomputed **once per circuit** into a
+//!   linear, seed-free [`BatchOp`] program (a seed only picks the
+//!   reference bits a run compares against). At run time a batch
+//!   walks that program and makes, per lane, exactly the draws the
+//!   serial sampler makes per shot, in the same order — Bernoulli
+//!   masks are assembled one lane bit at a time and applied to the
+//!   planes word-wise.
 //!
 //! The result: classical counts are bit-for-bit equal to
 //! [`crate::StabilizerEngine`] for any seed, any shot count (tail
@@ -36,6 +38,24 @@
 //! (batches are independent; expectation sums are reduced in batch
 //! order, and each shot contributes an integer ±1, so even the f64
 //! accumulations are exact).
+//!
+//! ## Output-cone pruning (v2)
+//!
+//! A v2 run samples only what its outputs can see. Before the strips
+//! run, [`BatchPlan::liveness`] walks the program backwards from the
+//! outputs — the measured clbits for counts, the observable supports
+//! for expectations and flips — and marks a noise site live only when
+//! its mask can reach one under the frame propagation rules. The
+//! sampling pass hashes live sites only (and groups a qubit's lanes
+//! by noise code only when one of its bank flushes is live); the
+//! propagation pass reads live words only. A dead site's mask would
+//! have landed on frame planes no output reads, and every v2 draw is
+//! a pure hash of `(seed, shot, site)`, so skipping it moves no other
+//! draw: pruned output is bit-identical to the unpruned serial
+//! engine. On a sparse layer of a wide device the idle lattice is
+//! dead, and sampling cost follows the driven qubits rather than the
+//! device width. Feed-forward programs and the v1 schedule, whose
+//! draws are positional, are not pruned.
 //!
 //! Classical feed-forward batches too: a conditional gate becomes a
 //! lane-masked [`BatchOp::CondGate`] whose per-lane firing decision
@@ -48,14 +68,14 @@ use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
-use crate::pauli_frame::{FramePlan, ItemOp};
+use crate::pauli_frame::{FramePlan, ItemOp, RefBits};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lattice_idx, lattice_value,
     lt_mask, lt_masks, map_batches, pick, plane, shot_key, shot_seed, site, site_draw,
     worker_count, PlanOp, SeedSchedule, LATTICE_STEPS,
 };
 use crate::result::{PauliFlips, RunResult};
-use crate::stabilizer::pauli_to_bits;
+use crate::stabilizer::{pauli_to_bits, Tableau};
 use ca_circuit::clifford::Table2Q;
 use ca_circuit::pauli::{Pauli, PauliString};
 use ca_circuit::{Gate, ScheduledCircuit};
@@ -264,7 +284,9 @@ enum BatchOp {
     Measure {
         q: usize,
         op: usize,
-        reference: bool,
+        /// Ordinal of this measurement in plan order: indexes
+        /// [`RefBits::outcomes`], the seed-dependent reference outcome.
+        meas: usize,
         clbit: Option<usize>,
         /// Readout flip probability; `None` when readout error is
         /// disabled (no draw at all, matching the serial path).
@@ -286,8 +308,9 @@ enum BatchOp {
         z: bool,
         clbit: usize,
         value: bool,
-        /// Whether the shared reference run fired the gate.
-        ref_fired: bool,
+        /// Conditional ordinal: indexes [`RefBits::fired`], whether
+        /// the shared reference run fired the gate.
+        cond: usize,
         /// 1q depolarizing probability for fired lanes (0 ⇒ no draw).
         err_p: f64,
     },
@@ -318,19 +341,20 @@ impl BatchOp {
         }
     }
 
-    /// Mask-buffer words this op pushes per strip word — its
-    /// contribution to [`BatchPlan::noise_stride`], and the unit the
-    /// sharded merge copies per op. Must stay in lockstep with both
-    /// the sampling pushes and the propagation `next!()` consumption.
-    fn words_per_w(&self) -> usize {
+    /// Noise sites this op samples: the independent draw groups the
+    /// output-cone pruner marks live or dead one by one (see
+    /// [`Liveness`]). In push order: a flush's bank, each of its
+    /// edges, then its decoherence pair; a gate's error (all its mask
+    /// words come from one hit draw); a measurement's readout flip,
+    /// then its post-collapse Z; a reset's Z.
+    fn sites(&self) -> usize {
         match self {
             BatchOp::Flush {
                 table, edges, deco, ..
-            } => usize::from(table.is_some()) + edges.len() + 2 * usize::from(deco.is_some()),
-            BatchOp::Gate1 { err_p, .. } | BatchOp::CondGate { err_p, .. } => {
-                2 * usize::from(*err_p > 0.0)
-            }
-            BatchOp::Gate2 { err_p, .. } => 4 * usize::from(*err_p > 0.0),
+            } => usize::from(table.is_some()) + edges.len() + usize::from(deco.is_some()),
+            BatchOp::Gate1 { err_p, .. }
+            | BatchOp::Gate2 { err_p, .. }
+            | BatchOp::CondGate { err_p, .. } => usize::from(*err_p > 0.0),
             BatchOp::Measure { readout, .. } => {
                 1 + usize::from(matches!(readout, Some(p) if *p > 0.0))
             }
@@ -338,13 +362,72 @@ impl BatchOp {
             BatchOp::Anchor { .. } => 0,
         }
     }
+
+    /// Mask-buffer words per strip word of this op's site `k` when it
+    /// is live: the decoherence pair pushes X and Z, a 1q error X and
+    /// Z, a 2q error both qubits' X and Z, every other site one Z (or
+    /// readout) word. Must stay in lockstep with both the sampling
+    /// pushes and the propagation `next!()` consumption.
+    fn site_words(&self, k: usize) -> usize {
+        match self {
+            BatchOp::Flush { deco, .. } if deco.is_some() && k + 1 == self.sites() => 2,
+            BatchOp::Gate1 { .. } | BatchOp::CondGate { .. } => 2,
+            BatchOp::Gate2 { .. } => 4,
+            _ => 1,
+        }
+    }
 }
 
-/// The batch program plus the shared reference run.
+/// The outputs a v2 run reads, which seed the output-cone pruner.
+pub(crate) enum Outputs<'a> {
+    /// Classical counts: every clbit below [`LANES`] (the packed key).
+    Clbits,
+    /// Observable parities over the final frame planes, as support
+    /// plane selectors `(qubit, x, z)`.
+    Support(&'a [(usize, bool, bool)]),
+}
+
+/// Which noise sites of a batch program can reach a run's outputs,
+/// and the compacted mask-buffer layout that follows.
+///
+/// Site indices: the initial-Z draw of qubit `q` is site `q`; op `i`'s
+/// draw groups ([`BatchOp::sites`]) follow from
+/// [`BatchPlan::site_base`]`[i]`. A dead site is neither hashed by the
+/// sampling pass nor read by the propagation pass: its mask would
+/// only reach frame planes no output reads. No other site's draw
+/// moves, because every v2 draw is a pure hash of `(seed, shot, site)`.
+pub(crate) struct Liveness {
+    site: Vec<bool>,
+    /// Per qubit: some live bank flush reads the qubit's per-lane
+    /// noise codes, so the sampling pass must group its lanes.
+    codes: Vec<bool>,
+    /// Per op: mask-buffer words per strip word its live sites push
+    /// (the unit the sharded merge copies per op).
+    words: Vec<u32>,
+    /// Mask-buffer words per strip word: the sampling pass pushes
+    /// exactly `stride · wc` words, in the order the propagation pass
+    /// consumes them.
+    stride: usize,
+    /// Per [`BatchOp::Flush::tslot`]: its slot in the sampling pass's
+    /// transposed-threshold cache, numbered over live bank flushes
+    /// only (`u32::MAX` when dead).
+    tslot: Vec<u32>,
+    /// Live transposed-threshold slots.
+    tslots: usize,
+}
+
+impl Liveness {
+    /// Live sites, for the observability counters.
+    fn live_count(&self) -> usize {
+        self.site.iter().filter(|&&l| l).count()
+    }
+}
+
+/// The seed-free batch program.
 ///
 /// Owns its data like [`FramePlan`]: a fully compiled, cacheable
-/// `Send + Sync` artifact (the session layer stores these behind
-/// [`std::sync::Arc`]s and reuses them across runs).
+/// `Send + Sync` artifact (the session layer stores one per circuit
+/// behind an [`std::sync::Arc`] and shares it across seeds and runs).
 pub struct BatchPlan {
     pub(crate) frame: FramePlan,
     ops: Vec<BatchOp>,
@@ -354,16 +437,16 @@ pub struct BatchPlan {
     /// lane to stay stream-compatible with the serial engine (v1
     /// schedule only — v2 draws are position-free).
     serial_words: usize,
-    /// Whether any flush carries a v2 bank table — only then does the
-    /// strip runner hash out per-lane noise codes.
-    needs_codes: bool,
     /// Count of distinct `(qubit, table)` flush pairs (see
     /// [`BatchOp::Flush::tslot`]).
     tslot_total: usize,
-    /// Mask-buffer words per strip word: the sampling pass pushes
-    /// exactly `noise_stride · wc` words, in the order the propagation
-    /// pass consumes them.
-    noise_stride: usize,
+    /// Per op: index of its first noise site (see [`Liveness`]).
+    site_base: Vec<usize>,
+    /// Noise sites in the whole program, initial-Z sites included.
+    sites: usize,
+    /// Whether the program carries classical feed-forward: lanes then
+    /// read clbits mid-program, and the pruner keeps every site.
+    feed_forward: bool,
 }
 
 /// v2 bank-flush thresholds for every per-lane noise code: code
@@ -403,12 +486,14 @@ fn bank_table(stat: f64, time: f64, cp: f64, qk: f64) -> Arc<[u64]> {
 }
 
 impl BatchPlan {
-    /// Builds the frame plan (reference tableau run included) and
-    /// compiles the scheduled circuit + noise timeline into the
-    /// linear batch program by replaying the serial sampler's control
-    /// flow once with scalar banks.
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit, seed: u64) -> Result<Self, SimError> {
-        Ok(Self::from_frame(sim, FramePlan::build(sim, sc, seed)?))
+    /// Builds the frame plan and compiles the scheduled circuit +
+    /// noise timeline into the linear batch program by replaying the
+    /// serial sampler's control flow once with scalar banks. The
+    /// program is seed-free: runs take the seed's reference bits
+    /// ([`FramePlan::reference`]) separately, so one program serves
+    /// every seed of a circuit.
+    pub fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
+        Ok(Self::from_frame(sim, FramePlan::build(sim, sc)?))
     }
 
     /// Compiles the batch program for an already-built frame plan.
@@ -549,12 +634,11 @@ impl BatchPlan {
                     );
                     match si.instruction.gate {
                         Gate::Measure => {
-                            let reference = frame.ref_outcomes[meas_i];
                             meas_i += 1;
                             ops.push(BatchOp::Measure {
                                 q,
                                 op: op_i,
-                                reference,
+                                meas: meas_i - 1,
                                 clbit: si.instruction.clbit,
                                 readout: config
                                     .readout_error
@@ -574,7 +658,7 @@ impl BatchPlan {
                             pauli,
                             clbit,
                             value,
-                            ref_fired,
+                            cond,
                             physical,
                         } => {
                             let q = *q;
@@ -606,7 +690,7 @@ impl BatchPlan {
                                 z,
                                 clbit: *clbit,
                                 value: *value,
-                                ref_fired: *ref_fired,
+                                cond: *cond,
                                 err_p,
                             });
                             ops.push(BatchOp::Anchor { item });
@@ -758,9 +842,6 @@ impl BatchPlan {
             );
         }
 
-        let needs_codes = ops
-            .iter()
-            .any(|op| matches!(op, BatchOp::Flush { table: Some(_), .. }));
         // Number the distinct (qubit, table) pairs: ~6 flushes per
         // qubit share a handful of memoized bank tables, and the
         // sampling pass keys its transposed-threshold cache on this.
@@ -789,16 +870,185 @@ impl BatchPlan {
                 }
             }
         }
-        let noise_stride = n + ops.iter().map(BatchOp::words_per_w).sum::<usize>();
+        let mut site_base = Vec::with_capacity(ops.len());
+        let mut sites = n;
+        for op in &ops {
+            site_base.push(sites);
+            sites += op.sites();
+        }
+        let feed_forward = ops.iter().any(|op| matches!(op, BatchOp::CondGate { .. }));
         Self {
             serial_words: frame.words,
             frame,
             ops,
             n,
-            needs_codes,
-            noise_stride,
             tslot_total,
+            site_base,
+            sites,
+            feed_forward,
         }
+    }
+
+    /// The output cone: walks the program backwards from `outputs`
+    /// and marks a noise site live only when its mask can reach an
+    /// output under the frame propagation rules. Noise XORs into a
+    /// frame plane and never moves liveness; a Clifford moves it
+    /// along its symplectic matrix (input `i` is live when it feeds a
+    /// live output); a measurement reads its qubit's X plane into a
+    /// clbit and overwrites the Z plane; a reset overwrites both.
+    /// Feed-forward programs keep every site (a lane's frame then
+    /// depends on its clbits mid-program).
+    pub(crate) fn liveness(&self, outputs: Outputs<'_>) -> Liveness {
+        let n = self.n;
+        if self.feed_forward {
+            return self.layout(vec![true; self.sites]);
+        }
+        let mut site = vec![false; self.sites];
+        let mut lx = vec![false; n];
+        let mut lz = vec![false; n];
+        let mut clbit = [false; LANES];
+        match outputs {
+            Outputs::Clbits => clbit = [true; LANES],
+            Outputs::Support(support) => {
+                for &(q, x_obs, z_obs) in support {
+                    // The parity reads fx under a Z-type letter and
+                    // fz under an X-type one (Y reads both).
+                    lx[q] |= z_obs;
+                    lz[q] |= x_obs;
+                }
+            }
+        }
+        for (op, &base) in self.ops.iter().zip(&self.site_base).rev() {
+            match op {
+                BatchOp::Flush {
+                    q,
+                    table,
+                    edges,
+                    deco,
+                    ..
+                } => {
+                    let q = *q;
+                    let mut k = base;
+                    if table.is_some() {
+                        site[k] = lz[q];
+                        k += 1;
+                    }
+                    for edge in edges {
+                        site[k] = lz[edge.a] || lz[edge.b];
+                        k += 1;
+                    }
+                    if deco.is_some() {
+                        site[k] = lx[q] || lz[q];
+                    }
+                }
+                BatchOp::Gate1 { q, m, err_p, .. } => {
+                    let q = *q;
+                    if *err_p > 0.0 {
+                        site[base] = lx[q] || lz[q];
+                    }
+                    let (x, z) = (lx[q], lz[q]);
+                    lx[q] = (m.xx != 0 && x) || (m.zx != 0 && z);
+                    lz[q] = (m.xz != 0 && x) || (m.zz != 0 && z);
+                }
+                BatchOp::Gate2 { a, b, m, err_p, .. } => {
+                    let (a, b) = (*a, *b);
+                    let after = [lx[a], lz[a], lx[b], lz[b]];
+                    if *err_p > 0.0 {
+                        site[base] = after.iter().any(|&l| l);
+                    }
+                    let before: [bool; 4] =
+                        std::array::from_fn(|i| (0..4).any(|o| after[o] && m.mat[o][i] != 0));
+                    [lx[a], lz[a], lx[b], lz[b]] = before;
+                }
+                BatchOp::Measure {
+                    q,
+                    clbit: c,
+                    readout,
+                    ..
+                } => {
+                    let q = *q;
+                    let read = c.is_some_and(|c| c < LANES && clbit[c]);
+                    let mut k = base;
+                    if matches!(readout, Some(p) if *p > 0.0) {
+                        site[k] = read;
+                        k += 1;
+                    }
+                    site[k] = lz[q];
+                    lz[q] = false;
+                    lx[q] |= read;
+                    if let Some(c) = c.filter(|&c| c < LANES) {
+                        // An earlier write to this clbit is overwritten.
+                        clbit[c] = false;
+                    }
+                }
+                BatchOp::Reset { q, .. } => {
+                    site[base] = lz[*q];
+                    lx[*q] = false;
+                    lz[*q] = false;
+                }
+                // Unreachable: feed-forward programs returned above.
+                BatchOp::CondGate { .. } => {}
+                BatchOp::Anchor { .. } => {}
+            }
+        }
+        site[..n].copy_from_slice(&lz);
+        self.layout(site)
+    }
+
+    /// The compacted buffer layout, noise-code needs and threshold
+    /// cache slots of a live-site mask.
+    fn layout(&self, site: Vec<bool>) -> Liveness {
+        let n = self.n;
+        let mut codes = vec![false; n];
+        let mut tslot = vec![u32::MAX; self.tslot_total];
+        let mut tslots = 0usize;
+        let mut stride = site[..n].iter().filter(|&&l| l).count();
+        let mut words = Vec::with_capacity(self.ops.len());
+        for (op, &base) in self.ops.iter().zip(&self.site_base) {
+            let w: usize = (0..op.sites())
+                .filter(|&k| site[base + k])
+                .map(|k| op.site_words(k))
+                .sum();
+            words.push(w as u32);
+            stride += w;
+            if let BatchOp::Flush {
+                q,
+                table: Some(_),
+                tslot: t,
+                ..
+            } = op
+            {
+                if site[base] {
+                    codes[*q] = true;
+                    if tslot[*t as usize] == u32::MAX {
+                        tslot[*t as usize] = tslots as u32;
+                        tslots += 1;
+                    }
+                }
+            }
+        }
+        Liveness {
+            site,
+            codes,
+            words,
+            stride,
+            tslot,
+            tslots,
+        }
+    }
+
+    /// [`Self::liveness`] for one v2 run, counted into the
+    /// `engine.sites_live` / `engine.sites_pruned` observability
+    /// counters (once per run, in program sites). The counters read
+    /// only the mask, never the RNG.
+    fn pruned(&self, outputs: Outputs<'_>) -> Liveness {
+        let live = self.liveness(outputs);
+        if ca_obs::enabled() {
+            let n = live.live_count();
+            ca_obs::counter_add("engine.sites_live", n as u64);
+            ca_obs::counter_add("engine.sites_pruned", (self.sites - n) as u64);
+        }
+        live
     }
 
     /// Runs one batch of `active ≤ 64` shot-lanes starting at global
@@ -808,6 +1058,7 @@ impl BatchPlan {
     fn run_batch(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
         seed: u64,
         base: usize,
         active: usize,
@@ -985,12 +1236,13 @@ impl BatchPlan {
                 }
                 BatchOp::Measure {
                     q,
-                    reference,
+                    meas,
                     clbit,
                     readout,
                     ..
                 } => {
                     let q = *q;
+                    let reference = reference.outcomes[*meas];
                     let mut new_z = 0u64;
                     for (j, rng) in rngs.iter_mut().enumerate() {
                         let bit = 1u64 << j;
@@ -1034,17 +1286,18 @@ impl BatchPlan {
                     z,
                     clbit,
                     value,
-                    ref_fired,
+                    cond,
                     err_p,
                     ..
                 } => {
                     let q = *q;
+                    let ref_fired = reference.fired[*cond];
                     let mut xm = 0u64;
                     let mut zm = 0u64;
                     for (j, rng) in rngs.iter_mut().enumerate() {
                         let bit = 1u64 << j;
                         let fired = (keys[j] >> clbit & 1 == 1) == *value;
-                        if fired != *ref_fired {
+                        if fired != ref_fired {
                             if *x {
                                 xm ^= bit;
                             }
@@ -1096,11 +1349,13 @@ impl BatchPlan {
     /// contiguous shard by the sharded path — per-shard buffers merged
     /// in op order reproduce the full-range buffer word for word (see
     /// [`crate::shard`]), because every draw here is a pure function
-    /// of the hoisted stream keys and the op's own sites.
+    /// of the hoisted stream keys and the op's own sites. Sites that
+    /// `live` marks dead are skipped: they push no words.
     #[allow(clippy::too_many_arguments)]
     fn sample_ops(
         &self,
         sim: &Simulator,
+        live: &Liveness,
         wkeys: &[u64; STRIP_WORDS],
         inner: &[u64],
         wc: usize,
@@ -1119,12 +1374,18 @@ impl BatchPlan {
         // per (qubit, word).
         let mut group_data: Vec<(u8, u64)> = Vec::new();
         let mut group_off: Vec<u32> = Vec::new();
-        if self.needs_codes {
+        // Only a live bank flush reads the groups.
+        if live.tslots > 0 {
             group_data.reserve_exact((q_hi - q_lo) * wc * 2);
             group_off.reserve_exact((q_hi - q_lo) * wc + 1);
             group_off.push(0);
             let mut masks = [0u64; 3 * LATTICE_STEPS];
             for q in q_lo..q_hi {
+                if !live.codes[q] {
+                    // No live bank flush reads this qubit's codes.
+                    group_off.extend(std::iter::repeat_n(group_data.len() as u32, wc));
+                    continue;
+                }
                 let cal = &sim.device.calibration.qubits[q];
                 let par = config.charge_parity && cal.charge_parity_khz > 0.0;
                 let s = site::id(site::NOISE, 0, q);
@@ -1174,21 +1435,21 @@ impl BatchPlan {
         // undecided with probability 2⁻⁸; the rare survivors finish
         // on the exact per-group ladder below.
         const TDEPTH: usize = 8;
-        let mut tcache: Vec<(bool, [u64; TDEPTH])> = if self.needs_codes {
-            vec![(false, [0u64; TDEPTH]); self.tslot_total * wc]
-        } else {
-            Vec::new()
-        };
+        let mut tcache: Vec<(bool, [u64; TDEPTH])> =
+            vec![(false, [0u64; TDEPTH]); live.tslots * wc];
 
         // The mask buffer: pushed in the exact order the propagation
         // pass consumes the range's words.
         for q in q_lo..q_hi {
+            if !live.site[q] {
+                continue;
+            }
             let s = site::id(site::INIT_Z, 0, q);
             for w in 0..wc {
                 out.push(fair_plane(site_draw(wkeys[w], s)));
             }
         }
-        for bop in &self.ops {
+        for (bop, &sb) in self.ops.iter().zip(&self.site_base) {
             let owner = bop.owner();
             if owner < q_lo || owner >= q_hi {
                 continue;
@@ -1204,7 +1465,8 @@ impl BatchPlan {
                     ..
                 } => {
                     let q = *q;
-                    if let Some(table) = table {
+                    let mut k = sb;
+                    if let Some(table) = table.as_ref().filter(|_| live.site[k]) {
                         let s = site::id(site::FLUSH_Z, *op, q);
                         for w in 0..wc {
                             let (lo, hi) = (
@@ -1212,7 +1474,7 @@ impl BatchPlan {
                                 group_off[(q - q_lo) * wc + w + 1],
                             );
                             let gslice = &group_data[lo as usize..hi as usize];
-                            let slot = &mut tcache[*tslot as usize * wc + w];
+                            let slot = &mut tcache[live.tslot[*tslot as usize] as usize * wc + w];
                             if !slot.0 {
                                 let mut tp = [0u64; TDEPTH];
                                 for &(c, gm) in gslice {
@@ -1259,13 +1521,17 @@ impl BatchPlan {
                             out.push(zm);
                         }
                     }
+                    k += usize::from(table.is_some());
                     for edge in edges {
-                        let s = site::id(site::FLUSH_ZZ, *op, edge.e);
-                        for w in 0..wc {
-                            out.push(lt_mask(site_draw(wkeys[w], s), edge.t));
+                        if live.site[k] {
+                            let s = site::id(site::FLUSH_ZZ, *op, edge.e);
+                            for w in 0..wc {
+                                out.push(lt_mask(site_draw(wkeys[w], s), edge.t));
+                            }
                         }
+                        k += 1;
                     }
-                    if let Some((gamma, p_z)) = deco {
+                    if let Some((gamma, p_z)) = deco.as_ref().filter(|_| live.site[k]) {
                         // Three damping thresholds over one plane
                         // ladder (X on the middle band, Z where the
                         // outer bands disagree), dephasing folded into
@@ -1290,7 +1556,7 @@ impl BatchPlan {
                     }
                 }
                 BatchOp::Gate1 { q, op, m: _, err_p } => {
-                    if *err_p > 0.0 {
+                    if *err_p > 0.0 && live.site[sb] {
                         let t = bern_threshold(*err_p);
                         let hs = site::id(site::GATE_HIT, *op, *q);
                         let ss = site::id(site::GATE_SEL, *op, *q);
@@ -1322,7 +1588,7 @@ impl BatchPlan {
                     m: _,
                     err_p,
                 } => {
-                    if *err_p > 0.0 {
+                    if *err_p > 0.0 && live.site[sb] {
                         let t = bern_threshold(*err_p);
                         let hs = site::id(site::GATE_HIT, *op, *a);
                         let ss = site::id(site::GATE_SEL, *op, *a);
@@ -1366,17 +1632,23 @@ impl BatchPlan {
                     };
                     let rs = site::id(site::READOUT, *op, *q);
                     let ms = site::id(site::MEAS_Z, *op, *q);
+                    let live_r = live.site[sb];
+                    let live_m = live.site[sb + usize::from(rt.is_some())];
                     for w in 0..wc {
-                        if let Some(t) = rt {
+                        if let Some(t) = rt.filter(|_| live_r) {
                             out.push(lt_mask(site_draw(wkeys[w], rs), t));
                         }
-                        out.push(fair_plane(site_draw(wkeys[w], ms)));
+                        if live_m {
+                            out.push(fair_plane(site_draw(wkeys[w], ms)));
+                        }
                     }
                 }
                 BatchOp::Reset { q, op } => {
-                    let s = site::id(site::RESET_Z, *op, *q);
-                    for w in 0..wc {
-                        out.push(fair_plane(site_draw(wkeys[w], s)));
+                    if live.site[sb] {
+                        let s = site::id(site::RESET_Z, *op, *q);
+                        for w in 0..wc {
+                            out.push(fair_plane(site_draw(wkeys[w], s)));
+                        }
                     }
                 }
                 BatchOp::CondGate { q, op, err_p, .. } => {
@@ -1384,7 +1656,7 @@ impl BatchPlan {
                     // they are sampled for every hit lane here; the
                     // propagation pass masks them by the lanes that
                     // actually fired.
-                    if *err_p > 0.0 {
+                    if *err_p > 0.0 && live.site[sb] {
                         let t = bern_threshold(*err_p);
                         let hs = site::id(site::GATE_HIT, *op, *q);
                         let ss = site::id(site::GATE_SEL, *op, *q);
@@ -1436,10 +1708,15 @@ impl BatchPlan {
     ///
     /// `shards > 1` additionally fans the sampling pass out across
     /// that many contiguous qubit shards (see [`crate::shard`]) —
-    /// a wall-clock knob only, with no effect on the output.
+    /// a wall-clock knob only, with no effect on the output. `live`
+    /// prunes the sampling pass to the run's output cone; dead sites
+    /// read zero masks, which only reach frame planes no output reads.
+    #[allow(clippy::too_many_arguments)]
     fn run_strip(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
+        live: &Liveness,
         seed: u64,
         base: usize,
         active: usize,
@@ -1469,18 +1746,21 @@ impl BatchPlan {
         // buffer contents are identical word for word, so the shard
         // count never shows up in results.
         let noise = if shards <= 1 {
-            let mut noise = Vec::with_capacity(self.noise_stride * wc);
-            self.sample_ops(sim, &wkeys, &inner, wc, 0, n, &mut noise);
+            let mut noise = Vec::with_capacity(live.stride * wc);
+            self.sample_ops(sim, live, &wkeys, &inner, wc, 0, n, &mut noise);
             noise
         } else {
             let ranges = crate::shard::qubit_ranges(n, shards);
             let bufs = map_batches(ranges.len(), Some(shards), |i| {
                 let (lo, hi) = ranges[i];
-                let mut buf = Vec::with_capacity(self.noise_stride * wc / ranges.len() + wc);
-                self.sample_ops(sim, &wkeys, &inner, wc, lo, hi, &mut buf);
+                let mut buf = Vec::with_capacity(live.stride * wc / ranges.len() + wc);
+                self.sample_ops(sim, live, &wkeys, &inner, wc, lo, hi, &mut buf);
                 buf
             });
-            let init_lens: Vec<usize> = ranges.iter().map(|&(lo, hi)| (hi - lo) * wc).collect();
+            let init_lens: Vec<usize> = ranges
+                .iter()
+                .map(|&(lo, hi)| live.site[lo..hi].iter().filter(|&&l| l).count() * wc)
+                .collect();
             let mut shard_of = vec![0u32; n];
             for (i, &(lo, hi)) in ranges.iter().enumerate() {
                 for s in &mut shard_of[lo..hi] {
@@ -1490,14 +1770,15 @@ impl BatchPlan {
             let sched: Vec<(u32, u32)> = self
                 .ops
                 .iter()
-                .filter_map(|bop| {
-                    let words = bop.words_per_w() * wc;
-                    (words > 0).then_some((shard_of[bop.owner()], words as u32))
+                .zip(&live.words)
+                .filter_map(|(bop, &words)| {
+                    let words = words * wc as u32;
+                    (words > 0).then_some((shard_of[bop.owner()], words))
                 })
                 .collect();
-            crate::shard::merge_op_order(&bufs, &init_lens, &sched, self.noise_stride * wc)
+            crate::shard::merge_op_order(&bufs, &init_lens, &sched, live.stride * wc)
         };
-        debug_assert_eq!(noise.len(), self.noise_stride * wc);
+        debug_assert_eq!(noise.len(), live.stride * wc);
         phase.tick_sampling();
 
         // ---- Propagation pass ---------------------------------------------
@@ -1512,13 +1793,15 @@ impl BatchPlan {
                 v
             }};
         }
-        // Initial Z-frame randomization: Z stabilizes |0…0⟩.
-        for q in 0..n {
+        // Initial Z-frame randomization: Z stabilizes |0…0⟩. Dead
+        // sites (here and below) read no words; the planes they would
+        // have randomized or flipped are read by no output.
+        for q in (0..n).filter(|&q| live.site[q]) {
             for w in 0..wc {
                 fz[q * wc + w] = next!();
             }
         }
-        for bop in &self.ops {
+        for (bop, &sb) in self.ops.iter().zip(&self.site_base) {
             match bop {
                 BatchOp::Flush {
                     q,
@@ -1528,19 +1811,26 @@ impl BatchPlan {
                     ..
                 } => {
                     let q = *q;
+                    let mut k = sb;
                     if table.is_some() {
-                        for w in 0..wc {
-                            fz[q * wc + w] ^= next!();
+                        if live.site[k] {
+                            for w in 0..wc {
+                                fz[q * wc + w] ^= next!();
+                            }
                         }
+                        k += 1;
                     }
                     for edge in edges {
-                        for w in 0..wc {
-                            let m = next!();
-                            fz[edge.a * wc + w] ^= m;
-                            fz[edge.b * wc + w] ^= m;
+                        if live.site[k] {
+                            for w in 0..wc {
+                                let m = next!();
+                                fz[edge.a * wc + w] ^= m;
+                                fz[edge.b * wc + w] ^= m;
+                            }
                         }
+                        k += 1;
                     }
-                    if deco.is_some() {
+                    if deco.is_some() && live.site[k] {
                         for w in 0..wc {
                             fx[q * wc + w] ^= next!();
                             fz[q * wc + w] ^= next!();
@@ -1554,7 +1844,7 @@ impl BatchPlan {
                         fx[q * wc + w] = nx;
                         fz[q * wc + w] = nz;
                     }
-                    if *err_p > 0.0 {
+                    if *err_p > 0.0 && live.site[sb] {
                         for w in 0..wc {
                             fx[q * wc + w] ^= next!();
                             fz[q * wc + w] ^= next!();
@@ -1581,7 +1871,7 @@ impl BatchPlan {
                         fx[b * wc + w] = out[2];
                         fz[b * wc + w] = out[3];
                     }
-                    if *err_p > 0.0 {
+                    if *err_p > 0.0 && live.site[sb] {
                         for w in 0..wc {
                             fx[a * wc + w] ^= next!();
                             fz[a * wc + w] ^= next!();
@@ -1593,16 +1883,22 @@ impl BatchPlan {
                 BatchOp::Measure {
                     q,
                     op: _,
-                    reference,
+                    meas,
                     clbit,
                     readout,
                 } => {
                     let q = *q;
-                    let rm = if *reference { u64::MAX } else { 0 };
+                    let rm = if reference.outcomes[*meas] {
+                        u64::MAX
+                    } else {
+                        0
+                    };
                     let armed = matches!(readout, Some(p) if *p > 0.0);
+                    let live_r = armed && live.site[sb];
+                    let live_m = live.site[sb + usize::from(armed)];
                     for w in 0..wc {
                         let mut out = rm ^ fx[q * wc + w];
-                        if armed {
+                        if live_r {
                             out ^= next!();
                         }
                         if let Some(c) = clbit {
@@ -1611,14 +1907,14 @@ impl BatchPlan {
                             }
                         }
                         // Post-collapse Z randomization.
-                        fz[q * wc + w] = next!();
+                        fz[q * wc + w] = if live_m { next!() } else { 0 };
                     }
                 }
                 BatchOp::Reset { q, op: _ } => {
                     let q = *q;
                     for w in 0..wc {
                         fx[q * wc + w] = 0;
-                        fz[q * wc + w] = next!();
+                        fz[q * wc + w] = if live.site[sb] { next!() } else { 0 };
                     }
                 }
                 BatchOp::CondGate {
@@ -1628,12 +1924,12 @@ impl BatchPlan {
                     z,
                     clbit,
                     value,
-                    ref_fired,
+                    cond,
                     err_p,
                 } => {
                     let q = *q;
                     let vm = if *value { u64::MAX } else { 0 };
-                    let rm = if *ref_fired { u64::MAX } else { 0 };
+                    let rm = if reference.fired[*cond] { u64::MAX } else { 0 };
                     for w in 0..wc {
                         // Lanes whose classical bit equals `value`.
                         let fired = !(key_planes[*clbit][w] ^ vm);
@@ -1644,7 +1940,7 @@ impl BatchPlan {
                         if *z {
                             fz[q * wc + w] ^= diff;
                         }
-                        if *err_p > 0.0 {
+                        if *err_p > 0.0 && live.site[sb] {
                             fx[q * wc + w] ^= next!() & fired;
                             fz[q * wc + w] ^= next!() & fired;
                         }
@@ -1694,6 +1990,7 @@ impl BatchPlan {
     pub(crate) fn counts(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
     ) -> Result<RunResult, SimError> {
@@ -1705,6 +2002,7 @@ impl BatchPlan {
         } = params;
         let nbits = self.frame.sc.num_clbits;
         let parts = if sim.schedule == SeedSchedule::V2 {
+            let live = self.pruned(Outputs::Clbits);
             let strips = shots.div_ceil(STRIP_SHOTS);
             let shards =
                 crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
@@ -1712,7 +2010,7 @@ impl BatchPlan {
                 crate::cancel::check_opt(cancel)?;
                 let base = s * STRIP_SHOTS;
                 let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, seed, base, active, ins, shards);
+                let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
                     let mut counts = BTreeMap::new();
                     for &key in out.keys.iter().take(active) {
@@ -1727,7 +2025,7 @@ impl BatchPlan {
                 crate::cancel::check_opt(cancel)?;
                 let base = b * LANES;
                 let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, seed, base, active, ins);
+                let out = self.run_batch(sim, reference, seed, base, active, ins);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
                     let mut counts = BTreeMap::new();
                     for &key in out.keys.iter().take(active) {
@@ -1747,11 +2045,11 @@ impl BatchPlan {
     /// Reference expectation plus the observable's support as
     /// per-qubit plane selectors: lane-parity word =
     /// XOR over support of (z_obs ? fx[q] : 0) ^ (x_obs ? fz[q] : 0).
-    fn prepare_observables(&self, paulis: &[PauliString]) -> PreparedObs {
+    fn prepare_observables(tableau: &Tableau, paulis: &[PauliString]) -> PreparedObs {
         paulis
             .iter()
             .map(|p| {
-                let r = self.frame.ref_tableau.expect(p); // ca-lint: allow(panic) -- reference tableau is set during plan construction
+                let r = tableau.expect(p); // ca-lint: allow(panic) -- `Tableau::expect` is a Pauli expectation, not an Option unwrap
                 let support: Vec<(usize, bool, bool)> = p
                     .paulis
                     .iter()
@@ -1772,6 +2070,8 @@ impl BatchPlan {
     pub(crate) fn expectations(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
+        tableau: &Tableau,
         paulis: &[PauliString],
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
@@ -1782,8 +2082,9 @@ impl BatchPlan {
             workers,
             cancel,
         } = params;
-        let prepared = self.prepare_observables(paulis);
+        let prepared = Self::prepare_observables(tableau, paulis);
         let partials: Vec<Vec<f64>> = if sim.schedule == SeedSchedule::V2 {
+            let live = self.pruned(Outputs::Support(&support_union(&prepared)));
             let strips = shots.div_ceil(STRIP_SHOTS);
             let shards =
                 crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
@@ -1791,7 +2092,7 @@ impl BatchPlan {
                 crate::cancel::check_opt(cancel)?;
                 let base = s * STRIP_SHOTS;
                 let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, seed, base, active, ins, shards);
+                let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
                     prepared
                         .iter()
@@ -1822,7 +2123,7 @@ impl BatchPlan {
                 crate::cancel::check_opt(cancel)?;
                 let base = b * LANES;
                 let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, seed, base, active, ins);
+                let out = self.run_batch(sim, reference, seed, base, active, ins);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
                     let lane_mask = if active == LANES {
                         u64::MAX
@@ -1866,6 +2167,8 @@ impl BatchPlan {
     pub(crate) fn flips(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
+        tableau: &Tableau,
         paulis: &[PauliString],
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
@@ -1876,9 +2179,10 @@ impl BatchPlan {
             workers,
             cancel,
         } = params;
-        let prepared = self.prepare_observables(paulis);
+        let prepared = Self::prepare_observables(tableau, paulis);
         let words = shots.div_ceil(LANES);
         if sim.schedule == SeedSchedule::V2 {
+            let live = self.pruned(Outputs::Support(&support_union(&prepared)));
             let strips = shots.div_ceil(STRIP_SHOTS);
             let shards =
                 crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
@@ -1887,7 +2191,8 @@ impl BatchPlan {
                     crate::cancel::check_opt(cancel)?;
                     let base = s * STRIP_SHOTS;
                     let active = STRIP_SHOTS.min(shots - base);
-                    let out = self.run_strip(sim, seed, base, active, ins, shards);
+                    let out =
+                        self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
                     Ok(crate::obs_util::time_engine_phase("reduction", || {
                         prepared
                             .iter()
@@ -1929,7 +2234,7 @@ impl BatchPlan {
             crate::cancel::check_opt(cancel)?;
             let base = b * LANES;
             let active = LANES.min(shots - base);
-            let out = self.run_batch(sim, seed, base, active, ins);
+            let out = self.run_batch(sim, reference, seed, base, active, ins);
             Ok(crate::obs_util::time_engine_phase("reduction", || {
                 let lane_mask = if active == LANES {
                     u64::MAX
@@ -1962,6 +2267,15 @@ impl BatchPlan {
 
 /// `(reference expectation, support plane selectors)` per observable.
 type PreparedObs = Vec<(i32, Vec<(usize, bool, bool)>)>;
+
+/// Every observable's support selectors in one list: the outputs an
+/// expectation or flips run reads.
+fn support_union(prepared: &PreparedObs) -> Vec<(usize, bool, bool)> {
+    prepared
+        .iter()
+        .flat_map(|(_, s)| s.iter().copied())
+        .collect()
+}
 
 /// Lane-parity word of one observable against a batch's final planes.
 #[inline]
@@ -2046,9 +2360,11 @@ impl<'a> BatchedFrameEngine<'a> {
         seed: u64,
         workers: Option<usize>,
     ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
+        let plan = BatchPlan::build(self.sim, sc)?;
+        let (reference, _) = plan.frame.reference(seed);
         plan.counts(
             self.sim,
+            &reference,
             &InsertionSet::empty(),
             crate::plan::ShotParams {
                 shots,
@@ -2071,9 +2387,11 @@ impl<'a> BatchedFrameEngine<'a> {
         ins: &InsertionSet,
         workers: Option<usize>,
     ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
+        let plan = BatchPlan::build(self.sim, sc)?;
+        let (reference, _) = plan.frame.reference(seed);
         plan.counts(
             self.sim,
+            &reference,
             ins,
             crate::plan::ShotParams {
                 shots,
@@ -2107,9 +2425,12 @@ impl<'a> BatchedFrameEngine<'a> {
         seed: u64,
         workers: Option<usize>,
     ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
+        let plan = BatchPlan::build(self.sim, sc)?;
+        let (reference, tableau) = plan.frame.reference(seed);
         plan.expectations(
             self.sim,
+            &reference,
+            &tableau,
             paulis,
             &InsertionSet::empty(),
             crate::plan::ShotParams {
@@ -2132,9 +2453,12 @@ impl<'a> BatchedFrameEngine<'a> {
         ins: &InsertionSet,
         workers: Option<usize>,
     ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
+        let plan = BatchPlan::build(self.sim, sc)?;
+        let (reference, tableau) = plan.frame.reference(seed);
         plan.expectations(
             self.sim,
+            &reference,
+            &tableau,
             paulis,
             ins,
             crate::plan::ShotParams {
@@ -2158,9 +2482,12 @@ impl<'a> BatchedFrameEngine<'a> {
         ins: &InsertionSet,
         workers: Option<usize>,
     ) -> Result<PauliFlips, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
+        let plan = BatchPlan::build(self.sim, sc)?;
+        let (reference, tableau) = plan.frame.reference(seed);
         plan.flips(
             self.sim,
+            &reference,
+            &tableau,
             paulis,
             ins,
             crate::plan::ShotParams {
@@ -2297,12 +2624,14 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let sim = sim.with_seed_schedule(SeedSchedule::V2);
         let sc = sched(&qc);
-        let plan = BatchPlan::build(&sim, &sc, 17).unwrap();
+        let plan = BatchPlan::build(&sim, &sc).unwrap();
+        let (bits, _) = plan.frame.reference(17);
+        let live = plan.liveness(Outputs::Clbits);
         let ins = InsertionSet::empty();
         for (base, active) in [(0usize, STRIP_SHOTS), (STRIP_SHOTS, 77)] {
-            let reference = plan.run_strip(&sim, 17, base, active, &ins, 1);
+            let reference = plan.run_strip(&sim, &bits, &live, 17, base, active, &ins, 1);
             for shards in [2usize, 3, 5] {
-                let got = plan.run_strip(&sim, 17, base, active, &ins, shards);
+                let got = plan.run_strip(&sim, &bits, &live, 17, base, active, &ins, shards);
                 assert_eq!(reference.fx, got.fx, "fx diverges at {shards} shards");
                 assert_eq!(reference.fz, got.fz, "fz diverges at {shards} shards");
                 assert_eq!(reference.keys, got.keys, "keys diverge at {shards} shards");
@@ -2507,5 +2836,123 @@ mod tests {
         let a = serial.run_counts(&sc, 70, 31).unwrap();
         let b = batch.run_counts(&sc, 70, 31).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The 16-pair shape of the 1121-qubit benchmark: 16 disjoint
+    /// driven pairs spread over the lattice, two ECR rounds, all 32
+    /// driven qubits measured, the rest idle.
+    fn sixteen_pair_condor() -> (Simulator, ScheduledCircuit) {
+        let device = ca_device::presets::condor_like(1121);
+        let n = device.num_qubits();
+        let edges = &device.topology.edges;
+        let mut used = vec![false; n];
+        let mut pairs = Vec::new();
+        for &(a, b) in edges.iter().step_by(edges.len() / 16) {
+            if pairs.len() < 16 && !used[a] && !used[b] {
+                used[a] = true;
+                used[b] = true;
+                pairs.push((a, b));
+            }
+        }
+        assert_eq!(pairs.len(), 16);
+        let mut qc = Circuit::new(n, 32);
+        for &(a, b) in &pairs {
+            qc.h(a).h(b);
+        }
+        for _ in 0..2 {
+            for &(a, b) in &pairs {
+                qc.ecr(a, b);
+            }
+        }
+        for (c, &q) in pairs
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .collect::<Vec<_>>()
+            .iter()
+            .enumerate()
+        {
+            qc.measure(q, c);
+        }
+        let noise = NoiseConfig {
+            readout_error: false,
+            ..NoiseConfig::default()
+        };
+        (
+            Simulator::with_config(device, noise).with_seed_schedule(SeedSchedule::V2),
+            sched(&qc),
+        )
+    }
+
+    /// A disabled or broken pruner fails here: on the 16-pair 1121q
+    /// shape the counts cone reaches at most the 32 driven qubits, so
+    /// at least 90% of the per-(qubit, word) noise-code groups — and
+    /// most program sites — are skipped, while the run stays
+    /// bit-identical to the unpruned serial engine.
+    #[test]
+    fn pruner_skips_most_noise_code_groups_on_the_16_pair_condor_shape() {
+        let (sim, sc) = sixteen_pair_condor();
+        let plan = BatchPlan::build(&sim, &sc).unwrap();
+        let live = plan.liveness(Outputs::Clbits);
+        let banked: Vec<usize> = (0..plan.n)
+            .filter(|&q| {
+                plan.ops.iter().any(
+                    |op| matches!(op, BatchOp::Flush { q: fq, table: Some(_), .. } if *fq == q),
+                )
+            })
+            .collect();
+        let grouped = banked.iter().filter(|&&q| live.codes[q]).count();
+        assert!(
+            banked.len() > 1000,
+            "every idle qubit banks: {}",
+            banked.len()
+        );
+        assert!(grouped > 0, "the driven qubits' banks reach the outputs");
+        assert!(
+            grouped * 10 <= banked.len(),
+            "pruner groups {grouped} of {} qubits' noise codes",
+            banked.len()
+        );
+        assert!(live.live_count() * 10 <= plan.sites, "most sites are dead");
+        let serial = StabilizerEngine::new(&sim).run_counts(&sc, 70, 4).unwrap();
+        for workers in [1usize, 3] {
+            let got = BatchedFrameEngine::new(&sim)
+                .run_counts_with_workers(&sc, 70, 4, Some(workers))
+                .unwrap();
+            assert_eq!(serial, got, "{workers} workers");
+        }
+    }
+
+    /// The final flush of a qubit read under a Z letter: its bank and
+    /// edge draws only flip Z and are dead, its decoherence draw can
+    /// flip X and stays live. Feed-forward programs keep every site.
+    #[test]
+    fn z_letter_final_flush_keeps_only_its_x_type_site() {
+        let (sim, qc) = noisy_workload();
+        let sc = sched(&without_measurements(qc));
+        let plan = BatchPlan::build(&sim, &sc).unwrap();
+        let support = [(0usize, false, true)];
+        let live = plan.liveness(Outputs::Support(&support));
+        let final_op = plan.frame.plan.ops.len();
+        let (flush, &sb) = plan
+            .ops
+            .iter()
+            .zip(&plan.site_base)
+            .find(|(op, _)| matches!(op, BatchOp::Flush { q: 0, op, .. } if *op == final_op))
+            .unwrap();
+        let BatchOp::Flush {
+            table, edges, deco, ..
+        } = flush
+        else {
+            unreachable!()
+        };
+        assert!(table.is_some() && !edges.is_empty() && deco.is_some());
+        let sites = &live.site[sb..sb + flush.sites()];
+        assert!(sites[..sites.len() - 1].iter().all(|&l| !l), "{sites:?}");
+        assert!(sites[sites.len() - 1], "decoherence flips X");
+
+        let (sim, qc) = dynamic_workload();
+        let plan = BatchPlan::build(&sim, &sched(&qc)).unwrap();
+        let live = plan.liveness(Outputs::Support(&support));
+        assert!(live.site.iter().all(|&l| l), "feed-forward prunes nothing");
     }
 }

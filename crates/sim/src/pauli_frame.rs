@@ -211,9 +211,10 @@ pub(crate) enum ItemOp {
         pauli: Pauli,
         clbit: usize,
         value: bool,
-        /// Whether the reference run fired the gate (resolved during
-        /// the reference pass in plan order).
-        ref_fired: bool,
+        /// Ordinal of this conditional among the circuit's conditional
+        /// Paulis: indexes [`RefBits::fired`], the seed-dependent
+        /// record of whether the reference run fired it.
+        cond: usize,
         /// True for physical pulses (X/Y): the qubit's banks flush
         /// first (the bank evolution must stay shot-independent, so
         /// a per-shot sign toggle is not an option) and a fired shot
@@ -249,14 +250,27 @@ pub(crate) enum ItemOp {
     },
 }
 
+/// The seed-dependent half of a frame run: what the noiseless
+/// reference run recorded. Shots XOR their frames against these bits,
+/// so every frame program is seed-free and one program serves every
+/// seed of a circuit (see [`FramePlan::reference`]).
+pub(crate) struct RefBits {
+    /// Reference measurement outcomes, in plan (time) order.
+    pub(crate) outcomes: Vec<bool>,
+    /// Whether the reference run fired each conditional Pauli, by
+    /// [`ItemOp::CondPauli::cond`] ordinal.
+    pub(crate) fired: Vec<bool>,
+}
+
 /// The frame-simulation plan: the shared [`ExecutionPlan`] plus the
-/// reference tableau run and per-item conjugation tables.
+/// per-item conjugation tables. Seed-free: the reference run that a
+/// seed determines is computed separately ([`Self::reference`]).
 ///
 /// Owns its data (the circuit and timeline plan sit behind [`Arc`]s),
 /// so frame plans are cacheable `Send + Sync` artifacts. Twirl
 /// instances of one schedule share the `Arc<ExecutionPlan>` — the
 /// timeline segments are twirl-independent — while each instance
-/// carries its own item ops and reference run (see
+/// carries its own item ops (see
 /// [`crate::session::CompiledCircuit::redress`]).
 pub struct FramePlan {
     /// The circuit this plan executes. Equal to `plan.sc` except for
@@ -267,10 +281,12 @@ pub struct FramePlan {
     pub(crate) plan: Arc<ExecutionPlan>,
     /// Frame action per scheduled item (None for structural ops).
     pub(crate) items: Vec<Option<ItemOp>>,
-    /// Reference measurement outcomes, in plan (time) order.
-    pub(crate) ref_outcomes: Vec<bool>,
-    /// Reference tableau after the full circuit (for expectations).
-    pub(crate) ref_tableau: Tableau,
+    /// Number of conditional Paulis (the length of
+    /// [`RefBits::fired`]).
+    pub(crate) conds: usize,
+    /// The seed schedule the reference run follows (v2 defers Pauli
+    /// gates to a skeleton frame; v1 walks them gate by gate).
+    pub(crate) schedule: SeedSchedule,
     pub(crate) words: usize,
     /// Per-qubit flag: true when some item op can flush or negate the
     /// qubit's pending bank mid-stream. Only these qubits accrue
@@ -295,19 +311,19 @@ fn table_key(gate: &Gate) -> (&'static str, u64) {
 }
 
 impl FramePlan {
-    /// Builds the plan and executes the noiseless reference run.
-    /// Fails with a structured [`SimError`] — never a panic — when the
-    /// circuit is outside the tableau representation (non-Clifford,
-    /// feed-forward, or an instruction whose operand count does not
-    /// match its gate's arity).
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit, seed: u64) -> Result<Self, SimError> {
+    /// Builds the seed-free plan (timeline plan included). Fails with
+    /// a structured [`SimError`] — never a panic — when the circuit is
+    /// outside the tableau representation (non-Clifford, feed-forward,
+    /// or an instruction whose operand count does not match its
+    /// gate's arity).
+    pub fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
         let sc = Arc::new(sc.clone());
         let plan = Arc::new(ExecutionPlan::build_arc(
             sc.clone(),
             &sim.device,
             &sim.config,
         )?);
-        Self::build_with_plan(sc, plan, seed, sim.schedule)
+        Self::build_with_plan(sc, plan, sim.schedule)
     }
 
     /// Builds the frame plan over a prebuilt (possibly shared)
@@ -318,7 +334,6 @@ impl FramePlan {
     pub(crate) fn build_with_plan(
         sc: Arc<ScheduledCircuit>,
         plan: Arc<ExecutionPlan>,
-        seed: u64,
         schedule: SeedSchedule,
     ) -> Result<Self, SimError> {
         let _s = ca_obs::span("sim.compile", "frame-plan");
@@ -326,6 +341,7 @@ impl FramePlan {
         let mut cache1: BTreeMap<(&'static str, u64), Arc<[(i8, Pauli); 4]>> = BTreeMap::new();
         let mut cache2: BTreeMap<(&'static str, u64), Arc<Table2Q>> = BTreeMap::new();
         let mut items = Vec::with_capacity(sc.items.len());
+        let mut conds = 0usize;
         for (i, si) in sc.items.iter().enumerate() {
             let gate = si.instruction.gate;
             if !gate.is_unitary() || gate == Gate::Barrier {
@@ -335,12 +351,13 @@ impl FramePlan {
             if let Some(cond) = si.instruction.condition {
                 let q = si.instruction.qubits[0];
                 let op = if let Some(pauli) = pauli_of(gate) {
+                    conds += 1;
                     ItemOp::CondPauli {
                         q,
                         pauli,
                         clbit: cond.clbit,
                         value: cond.value,
-                        ref_fired: false,
+                        cond: conds - 1,
                         physical: !gate.is_virtual(),
                     }
                 } else {
@@ -452,6 +469,39 @@ impl FramePlan {
             items.push(Some(op));
         }
 
+        let words = sc.num_qubits.div_ceil(64);
+        let mut streamed = vec![false; sc.num_qubits];
+        for op in plan.ops.iter() {
+            if let PlanOp::Project { item } | PlanOp::Apply { item } = *op {
+                for &q in &sc.items[item].instruction.qubits {
+                    streamed[q] = true;
+                }
+            }
+        }
+        let streamed_list: Vec<usize> = (0..sc.num_qubits).filter(|&q| streamed[q]).collect();
+        Ok(Self {
+            sc,
+            plan,
+            items,
+            conds,
+            schedule,
+            words,
+            streamed,
+            streamed_list,
+        })
+    }
+
+    /// The noiseless reference run for `seed`: the measurement
+    /// outcomes and conditional firings every shot is compared
+    /// against, plus the final tableau (which only expectations read).
+    /// A pure function of the plan and the seed, so callers may run it
+    /// again rather than keep the tableau.
+    pub(crate) fn reference(&self, seed: u64) -> (RefBits, Tableau) {
+        // Timed as part of the frame plan: the reference run is its
+        // seed-dependent half.
+        let _s = ca_obs::span("sim.compile", "frame-plan");
+        let sc = &self.sc;
+        let items = &self.items;
         // Reference run: the *noiseless* circuit on the tableau. The
         // reference carries its own classical register so conditional
         // Paulis fire against the reference's recorded bits; bank
@@ -467,11 +517,11 @@ impl FramePlan {
         // RNG stream onto random-outcome measurements is re-anchored,
         // which is exactly the freedom the v2 re-baseline grants. The
         // v1 path keeps the gate-by-gate tableau walk bit-for-bit.
-        let skel = schedule == SeedSchedule::V2;
+        let skel = self.schedule == SeedSchedule::V2;
         let pauli1: Vec<Option<(bool, bool)>> = if skel {
             sc.items
                 .iter()
-                .zip(&items)
+                .zip(items)
                 .map(|(si, it)| match it {
                     Some(ItemOp::One { .. }) => pauli_of(si.instruction.gate).map(pauli_to_bits),
                     _ => None,
@@ -490,6 +540,7 @@ impl FramePlan {
         let z_table = conjugation_table_1q(Gate::Z);
         let mut ref_bits = vec![false; sc.num_clbits.max(1)];
         let mut ref_outcomes = Vec::new();
+        let mut fired_bits = vec![false; self.conds];
         macro_rules! sk_get {
             ($q:expr) => {
                 pauli_from_bits(
@@ -505,11 +556,11 @@ impl FramePlan {
                 skz[$q / 64] = skz[$q / 64] & !(1 << ($q % 64)) | (z as u64) << ($q % 64);
             }};
         }
-        for op in &plan.ops {
+        for op in &self.plan.ops {
             match *op {
                 PlanOp::Segment(_) => {}
                 // ca-lint: allow(panic) -- plan construction guarantees unitary items at Apply ops
-                PlanOp::Apply { item } => match items[item].as_mut().expect("unitary item") {
+                PlanOp::Apply { item } => match items[item].as_ref().expect("unitary item") {
                     ItemOp::One { q, table, .. } => {
                         if skel {
                             if let Some((px, pz)) = pauli1[item] {
@@ -538,11 +589,11 @@ impl FramePlan {
                         pauli,
                         clbit,
                         value,
-                        ref_fired,
+                        cond,
                         ..
                     } => {
                         let fired = ref_bits[*clbit] == *value;
-                        *ref_fired = fired;
+                        fired_bits[*cond] = fired;
                         if fired {
                             if skel {
                                 let (px, pz) = pauli_to_bits(*pauli);
@@ -594,27 +645,13 @@ impl FramePlan {
         if skel {
             tableau.conjugate_by_pauli(&skx, &skz);
         }
-
-        let words = sc.num_qubits.div_ceil(64);
-        let mut streamed = vec![false; sc.num_qubits];
-        for op in plan.ops.iter() {
-            if let PlanOp::Project { item } | PlanOp::Apply { item } = *op {
-                for &q in &sc.items[item].instruction.qubits {
-                    streamed[q] = true;
-                }
-            }
-        }
-        let streamed_list: Vec<usize> = (0..sc.num_qubits).filter(|&q| streamed[q]).collect();
-        Ok(Self {
-            sc,
-            plan,
-            items,
-            ref_outcomes,
-            ref_tableau: tableau,
-            words,
-            streamed,
-            streamed_list,
-        })
+        (
+            RefBits {
+                outcomes: ref_outcomes,
+                fired: fired_bits,
+            },
+            tableau,
+        )
     }
 
     /// Runs one shot: propagates a Pauli frame with sampled noise and
@@ -625,6 +662,7 @@ impl FramePlan {
     fn shot(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
         rng: &mut StdRng,
         shot_idx: usize,
         ins: &InsertionSet,
@@ -727,7 +765,7 @@ impl FramePlan {
                     flush_qubit!(q, rng);
                     match si.instruction.gate {
                         Gate::Measure => {
-                            let reference = self.ref_outcomes[meas_i];
+                            let reference = reference.outcomes[meas_i];
                             meas_i += 1;
                             let mut outcome = reference ^ get(&fx, q);
                             if config.readout_error {
@@ -758,7 +796,7 @@ impl FramePlan {
                             pauli,
                             clbit,
                             value,
-                            ref_fired,
+                            cond,
                             physical,
                         } => {
                             let q = *q;
@@ -769,7 +807,7 @@ impl FramePlan {
                                 flush_qubit!(q, rng);
                             }
                             let fired = bits[*clbit] == *value;
-                            if fired != *ref_fired {
+                            if fired != reference.fired[*cond] {
                                 inject(&mut fx, &mut fz, q, *pauli);
                             }
                             if *physical && config.gate_error && fired {
@@ -905,6 +943,7 @@ impl FramePlan {
     fn shot_v2(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
         seed: u64,
         shot_idx: usize,
         ins: &InsertionSet,
@@ -1031,7 +1070,7 @@ impl FramePlan {
                     flush_qubit!(q, op_i);
                     match si.instruction.gate {
                         Gate::Measure => {
-                            let reference = self.ref_outcomes[meas_i];
+                            let reference = reference.outcomes[meas_i];
                             meas_i += 1;
                             let mut outcome = reference ^ get(&fx, q);
                             if config.readout_error {
@@ -1064,7 +1103,7 @@ impl FramePlan {
                             pauli,
                             clbit,
                             value,
-                            ref_fired,
+                            cond,
                             physical,
                         } => {
                             let q = *q;
@@ -1072,7 +1111,7 @@ impl FramePlan {
                                 flush_qubit!(q, op_i);
                             }
                             let fired = bits[*clbit] == *value;
-                            if fired != *ref_fired {
+                            if fired != reference.fired[*cond] {
                                 inject(&mut fx, &mut fz, q, *pauli);
                             }
                             if *physical && config.gate_error && fired {
@@ -1216,6 +1255,7 @@ impl FramePlan {
     pub(crate) fn counts(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
     ) -> Result<RunResult, SimError> {
@@ -1235,9 +1275,9 @@ impl FramePlan {
             std::collections::BTreeMap::<u64, usize>::new,
             |i, rng, counts| {
                 let (_, _, bits) = if v2 {
-                    self.shot_v2(sim, seed, i, ins)
+                    self.shot_v2(sim, reference, seed, i, ins)
                 } else {
-                    self.shot(sim, rng, i, ins)
+                    self.shot(sim, reference, rng, i, ins)
                 };
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
@@ -1248,11 +1288,14 @@ impl FramePlan {
     }
 
     /// Reference expectation and packed masks per observable.
-    fn prepare_observables(&self, paulis: &[PauliString]) -> Vec<(i32, Vec<u64>, Vec<u64>)> {
+    fn prepare_observables(
+        tableau: &Tableau,
+        paulis: &[PauliString],
+    ) -> Vec<(i32, Vec<u64>, Vec<u64>)> {
         paulis
             .iter()
             .map(|p| {
-                let r = self.ref_tableau.expect(p); // ca-lint: allow(panic) -- reference tableau is set during plan construction
+                let r = tableau.expect(p); // ca-lint: allow(panic) -- `Tableau::expect` is a Pauli expectation, not an Option unwrap
                 let (px, pz) = pack_pauli(p);
                 (r, px, pz)
             })
@@ -1264,6 +1307,8 @@ impl FramePlan {
     pub(crate) fn expectations(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
+        tableau: &Tableau,
         paulis: &[PauliString],
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
@@ -1274,7 +1319,7 @@ impl FramePlan {
             workers,
             cancel,
         } = params;
-        let prepared = self.prepare_observables(paulis);
+        let prepared = Self::prepare_observables(tableau, paulis);
         let v2 = sim.schedule == SeedSchedule::V2;
         let sums = map_shots_indexed(
             shots,
@@ -1284,9 +1329,9 @@ impl FramePlan {
             || vec![0.0; prepared.len()],
             |i, rng, acc| {
                 let (fx, fz, _) = if v2 {
-                    self.shot_v2(sim, seed, i, ins)
+                    self.shot_v2(sim, reference, seed, i, ins)
                 } else {
-                    self.shot(sim, rng, i, ins)
+                    self.shot(sim, reference, rng, i, ins)
                 };
                 for (o, (r, px, pz)) in prepared.iter().enumerate() {
                     if *r == 0 {
@@ -1320,6 +1365,8 @@ impl FramePlan {
     pub(crate) fn flips(
         &self,
         sim: &Simulator,
+        reference: &RefBits,
+        tableau: &Tableau,
         paulis: &[PauliString],
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
@@ -1330,7 +1377,7 @@ impl FramePlan {
             workers,
             cancel,
         } = params;
-        let prepared = self.prepare_observables(paulis);
+        let prepared = Self::prepare_observables(tableau, paulis);
         let words = shots.div_ceil(64);
         let v2 = sim.schedule == SeedSchedule::V2;
         // Per-worker bitvectors cover disjoint shot indices, so the
@@ -1343,9 +1390,9 @@ impl FramePlan {
             || vec![vec![0u64; words]; prepared.len()],
             |i, rng, acc| {
                 let (fx, fz, _) = if v2 {
-                    self.shot_v2(sim, seed, i, ins)
+                    self.shot_v2(sim, reference, seed, i, ins)
                 } else {
-                    self.shot(sim, rng, i, ins)
+                    self.shot(sim, reference, rng, i, ins)
                 };
                 for (o, (_, px, pz)) in prepared.iter().enumerate() {
                     let mut parity = 0u64;
@@ -1467,9 +1514,11 @@ impl<'a> StabilizerEngine<'a> {
         seed: u64,
         ins: &InsertionSet,
     ) -> Result<RunResult, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
+        let plan = FramePlan::build(self.sim, sc)?;
+        let (reference, _) = plan.reference(seed);
         plan.counts(
             self.sim,
+            &reference,
             ins,
             crate::plan::ShotParams {
                 shots,
@@ -1501,9 +1550,12 @@ impl<'a> StabilizerEngine<'a> {
         seed: u64,
         ins: &InsertionSet,
     ) -> Result<Vec<f64>, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
+        let plan = FramePlan::build(self.sim, sc)?;
+        let (reference, tableau) = plan.reference(seed);
         plan.expectations(
             self.sim,
+            &reference,
+            &tableau,
             paulis,
             ins,
             crate::plan::ShotParams {
@@ -1527,9 +1579,12 @@ impl<'a> StabilizerEngine<'a> {
         seed: u64,
         ins: &InsertionSet,
     ) -> Result<PauliFlips, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
+        let plan = FramePlan::build(self.sim, sc)?;
+        let (reference, tableau) = plan.reference(seed);
         plan.flips(
             self.sim,
+            &reference,
+            &tableau,
             paulis,
             ins,
             crate::plan::ShotParams {

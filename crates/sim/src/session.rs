@@ -3,22 +3,31 @@
 //!
 //! Context-aware compilation is deterministic given the schedule,
 //! device calibration, noise configuration, and seed — so the
-//! expensive planning work (timeline segmentation, reference tableau
-//! run, batch-program emission) is a pure function of a structural
-//! key. This module makes the compiled result a first-class value:
+//! expensive planning work (timeline segmentation, batch-program
+//! emission) is a pure function of a structural key, and only the
+//! cheap reference tableau run depends on the seed. This module makes
+//! the compiled result a first-class value:
 //!
-//! * [`CompiledCircuit`] — an owned, `Send + Sync` bundle of the
-//!   scheduled circuit, the shared noise-timeline [`ExecutionPlan`],
-//!   the resolved engine, and the precompiled frame programs, with a
-//!   structural [`CacheKey`]. Running it never replans; results are
-//!   bit-identical to the one-shot [`Simulator`] entry points at the
-//!   same seed, for any shot and worker count.
-//! * [`Session`] — a simulator plus a two-level LRU plan cache and a
-//!   job API. Level one caches finished [`CompiledCircuit`]s per
-//!   `(circuit, seed)`; level two caches the seed-*independent*
-//!   [`ExecutionPlan`] per circuit, so re-seeded submissions of one
-//!   circuit (twirl averaging, paired PEC estimates) skip timeline
-//!   segmentation even on level-one misses. [`Session::submit`] fans
+//! * [`CompiledCircuit`] — an owned, `Send + Sync` artifact: a shared
+//!   seed-free program (the scheduled circuit, the noise-timeline
+//!   [`ExecutionPlan`], the resolved engine and its precompiled frame
+//!   program) plus the seed, with a structural [`CacheKey`]. The
+//!   seed's reference run happens on first use; the reference
+//!   *tableau* is kept only once an expectation or flips run asks for
+//!   it (counts read just the reference bits). Running an artifact
+//!   never replans; results are bit-identical to the one-shot
+//!   [`Simulator`] entry points at the same seed, for any shot and
+//!   worker count.
+//! * [`Session`] — a simulator (shared by every artifact it compiles)
+//!   plus a two-level LRU plan cache and a job API. Level one caches
+//!   seeded [`CompiledCircuit`]s per `(circuit, seed)` — a few hundred
+//!   bytes each, since they share their program. Level two caches the
+//!   seed-*independent* program per circuit: the timeline plan and the
+//!   batch program with its bank tables and serial item table, built
+//!   once and shared by every seed. Re-seeded submissions of one
+//!   circuit (twirl averaging, paired PEC estimates, fresh-seed
+//!   serving) therefore pay only the reference run on level-one
+//!   misses. [`Session::submit`] fans
 //!   independent jobs out across worker threads at *job* granularity
 //!   (twirl ensembles run concurrently) while shot-level chunking
 //!   stays inside each job. Results are deterministic regardless of
@@ -30,11 +39,11 @@
 //!   differ only in which merged Pauli occupies each twirl slot
 //!   (merged gates are zero-width, error-free, and Stark-invisible),
 //!   so every instance provably shares the base's timeline. An
-//!   instance is derived by substituting those Paulis and rebuilding
-//!   only the frame program and reference run over the *shared*
-//!   `Arc<ExecutionPlan>` — the pass pipeline and segmentation are
-//!   never paid again — and is bit-identical to compiling the
-//!   dressed circuit from scratch.
+//!   instance is derived by substituting those Paulis and building
+//!   only its frame program (cached per instance in level two) over
+//!   the *shared* `Arc<ExecutionPlan>` — the pass pipeline and
+//!   segmentation are never paid again — and is bit-identical to
+//!   compiling the dressed circuit from scratch.
 
 use crate::cancel::CancelToken;
 use crate::engine::{check_gate_arities, Engine, DENSE_MAX_QUBITS};
@@ -42,13 +51,14 @@ use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::frame_batch::BatchPlan;
 use crate::insert::{InsertionSet, PauliInsertion};
-use crate::pauli_frame::FramePlan;
+use crate::pauli_frame::{FramePlan, RefBits};
 use crate::plan::{map_batches, ExecutionPlan};
 use crate::result::{PauliFlips, RunResult};
+use crate::stabilizer::Tableau;
 use ca_circuit::pauli::Pauli;
 use ca_circuit::{Fnv, Gate, PauliString, ScheduledCircuit};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Structural identity of a compiled artifact: circuit structure ⊕
 /// device fingerprint ⊕ noise switches ⊕ engine policy ⊕ seed. Equal
@@ -58,9 +68,9 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey(u64);
 
-/// The engine a compiled circuit resolved to, with its precompiled
+/// The engine a program resolved to, with its seed-free precompiled
 /// program.
-enum CompiledBackend {
+enum Backend {
     /// Dense statevector: the timeline plan is the whole program.
     Dense,
     /// Serial stabilizer/Pauli-frame program.
@@ -70,7 +80,52 @@ enum CompiledBackend {
     Batch(BatchPlan),
 }
 
-/// An owned, hashable, reusable compiled execution artifact.
+/// The seed-independent half of a compiled artifact, and the entry
+/// type of a [`Session`]'s level-two cache: a circuit, its timeline
+/// plan and — built the first time a seeded artifact needs it — its
+/// engine program. Every seed of the circuit shares one program; a
+/// twirl instance's program shares its base circuit's timeline plan.
+pub(crate) struct Program {
+    sc: Arc<ScheduledCircuit>,
+    plan: Arc<ExecutionPlan>,
+    backend: OnceLock<Arc<Backend>>,
+}
+
+impl Program {
+    /// A program over `plan`, whose circuit may differ from `sc` only
+    /// at merged Pauli slots (see [`Simulator::build_backend`]).
+    fn new(sc: Arc<ScheduledCircuit>, plan: Arc<ExecutionPlan>) -> Self {
+        Self {
+            sc,
+            plan,
+            backend: OnceLock::new(),
+        }
+    }
+
+    /// The engine program, built on first use. Two threads racing on
+    /// the first build each compile the same deterministic program;
+    /// one is kept.
+    fn backend(&self, sim: &Simulator) -> Result<Arc<Backend>, SimError> {
+        if let Some(b) = self.backend.get() {
+            return Ok(b.clone());
+        }
+        let built = Arc::new(sim.build_backend(&self.sc, &self.plan)?);
+        Ok(self.backend.get_or_init(|| built).clone())
+    }
+}
+
+/// The seed-dependent half of a frame artifact, computed on first
+/// use: the reference bits every run reads, and the reference tableau
+/// that only expectation and flips runs read. Both come from the same
+/// deterministic reference run ([`FramePlan::reference`]).
+#[derive(Default)]
+struct Reference {
+    bits: OnceLock<RefBits>,
+    tableau: OnceLock<Tableau>,
+}
+
+/// An owned, hashable, reusable compiled execution artifact: a shared
+/// seed-free [`Program`] plus the seed.
 ///
 /// `Send + Sync`: safe to cache in a [`Session`], share behind an
 /// [`Arc`], and run from many threads at once. All run methods take
@@ -78,10 +133,10 @@ enum CompiledBackend {
 /// [`Simulator`] calls with the same circuit and seed, for any shot
 /// count and worker count.
 pub struct CompiledCircuit {
-    sim: Simulator,
-    sc: Arc<ScheduledCircuit>,
-    plan: Arc<ExecutionPlan>,
-    backend: CompiledBackend,
+    sim: Arc<Simulator>,
+    program: Arc<Program>,
+    backend: Arc<Backend>,
+    reference: Reference,
     key: CacheKey,
     seed: u64,
 }
@@ -90,8 +145,8 @@ impl std::fmt::Debug for CompiledCircuit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledCircuit")
             .field("engine", &self.engine_name())
-            .field("qubits", &self.sc.num_qubits)
-            .field("items", &self.sc.items.len())
+            .field("qubits", &self.program.sc.num_qubits)
+            .field("items", &self.program.sc.items.len())
             .field("seed", &self.seed)
             .field("key", &self.key)
             .finish()
@@ -122,21 +177,68 @@ impl CompiledCircuit {
 
     /// The scheduled circuit this artifact executes.
     pub fn circuit(&self) -> &ScheduledCircuit {
-        &self.sc
+        &self.program.sc
+    }
+
+    /// The shared seed-free program this artifact runs.
+    #[cfg(test)]
+    pub(crate) fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// Whether this artifact has built its reference tableau (only
+    /// expectation and flips runs need one).
+    #[cfg(test)]
+    pub(crate) fn has_reference_tableau(&self) -> bool {
+        self.reference.tableau.get().is_some()
     }
 
     /// Name of the engine the artifact resolved to.
     pub fn engine_name(&self) -> &'static str {
-        match self.backend {
-            CompiledBackend::Dense => "statevector",
-            CompiledBackend::Serial(_) => "stabilizer",
-            CompiledBackend::Batch(_) => "frame-batch",
+        match *self.backend {
+            Backend::Dense => "statevector",
+            Backend::Serial(_) => "stabilizer",
+            Backend::Batch(_) => "frame-batch",
         }
     }
 
     /// Validates a raw insertion list against this artifact's circuit.
     pub fn insertions(&self, list: &[PauliInsertion]) -> Result<InsertionSet, SimError> {
-        InsertionSet::build(&self.sc, list)
+        InsertionSet::build(&self.program.sc, list)
+    }
+
+    /// Shot parameters of one run of this artifact.
+    fn params<'a>(
+        &self,
+        shots: usize,
+        workers: Option<usize>,
+        cancel: Option<&'a CancelToken>,
+    ) -> crate::plan::ShotParams<'a> {
+        crate::plan::ShotParams {
+            shots,
+            seed: self.seed,
+            workers,
+            cancel,
+        }
+    }
+
+    /// The seed's reference bits, from the reference run on first use.
+    fn ref_bits(&self, frame: &FramePlan) -> &RefBits {
+        self.reference
+            .bits
+            .get_or_init(|| frame.reference(self.seed).0)
+    }
+
+    /// The seed's reference bits and tableau, from one reference run
+    /// on first use.
+    fn ref_tableau(&self, frame: &FramePlan) -> (&RefBits, &Tableau) {
+        let tableau = self.reference.tableau.get_or_init(|| {
+            let (bits, tableau) = frame.reference(self.seed);
+            // Already set by an earlier counts run: the same bits.
+            let _ = self.reference.bits.set(bits);
+            tableau
+        });
+        (self.ref_bits(frame), tableau)
     }
 
     /// Shot-sampled classical counts without recompiling.
@@ -160,36 +262,33 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunResult, SimError> {
-        match &self.backend {
-            CompiledBackend::Dense => {
+        match &*self.backend {
+            Backend::Dense => {
                 if !ins.is_empty() {
                     return Err(SimError::UnsupportedOnEngine {
                         engine: "statevector",
                         operation: "per-shot Pauli insertions",
                     });
                 }
-                self.sim
-                    .run_counts_dense_plan(&self.plan, shots, self.seed, workers, cancel)
+                self.sim.run_counts_dense_plan(
+                    &self.program.plan,
+                    shots,
+                    self.seed,
+                    workers,
+                    cancel,
+                )
             }
-            CompiledBackend::Serial(frame) => frame.counts(
+            Backend::Serial(frame) => frame.counts(
                 &self.sim,
+                self.ref_bits(frame),
                 ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
+                self.params(shots, workers, cancel),
             ),
-            CompiledBackend::Batch(batch) => batch.counts(
+            Backend::Batch(batch) => batch.counts(
                 &self.sim,
+                self.ref_bits(&batch.frame),
                 ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
+                self.params(shots, workers, cancel),
             ),
         }
     }
@@ -216,39 +315,45 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<f64>, SimError> {
-        match &self.backend {
-            CompiledBackend::Dense => {
+        match &*self.backend {
+            Backend::Dense => {
                 if !ins.is_empty() {
                     return Err(SimError::UnsupportedOnEngine {
                         engine: "statevector",
                         operation: "per-shot Pauli insertions",
                     });
                 }
-                self.sim
-                    .expect_paulis_dense_plan(&self.plan, paulis, shots, self.seed, workers, cancel)
+                self.sim.expect_paulis_dense_plan(
+                    &self.program.plan,
+                    paulis,
+                    shots,
+                    self.seed,
+                    workers,
+                    cancel,
+                )
             }
-            CompiledBackend::Serial(frame) => frame.expectations(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
-            CompiledBackend::Batch(batch) => batch.expectations(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
+            Backend::Serial(frame) => {
+                let (bits, tableau) = self.ref_tableau(frame);
+                frame.expectations(
+                    &self.sim,
+                    bits,
+                    tableau,
+                    paulis,
+                    ins,
+                    self.params(shots, workers, cancel),
+                )
+            }
+            Backend::Batch(batch) => {
+                let (bits, tableau) = self.ref_tableau(&batch.frame);
+                batch.expectations(
+                    &self.sim,
+                    bits,
+                    tableau,
+                    paulis,
+                    ins,
+                    self.params(shots, workers, cancel),
+                )
+            }
         }
     }
 
@@ -274,40 +379,40 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<PauliFlips, SimError> {
-        match &self.backend {
-            CompiledBackend::Dense => Err(SimError::UnsupportedOnEngine {
+        match &*self.backend {
+            Backend::Dense => Err(SimError::UnsupportedOnEngine {
                 engine: "statevector",
                 operation: "per-shot sign-resolved outcomes",
             }),
-            CompiledBackend::Serial(frame) => frame.flips(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
-            CompiledBackend::Batch(batch) => batch.flips(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
+            Backend::Serial(frame) => {
+                let (bits, tableau) = self.ref_tableau(frame);
+                frame.flips(
+                    &self.sim,
+                    bits,
+                    tableau,
+                    paulis,
+                    ins,
+                    self.params(shots, workers, cancel),
+                )
+            }
+            Backend::Batch(batch) => {
+                let (bits, tableau) = self.ref_tableau(&batch.frame);
+                batch.flips(
+                    &self.sim,
+                    bits,
+                    tableau,
+                    paulis,
+                    ins,
+                    self.params(shots, workers, cancel),
+                )
+            }
         }
     }
 
     /// Derives a sibling artifact for another twirl instance of the
     /// same schedule: substitutes `dressing`'s Paulis into the merged
-    /// twirl slots and rebuilds the frame program and reference run
-    /// with `seed`, **sharing** the timeline [`ExecutionPlan`] — the
+    /// twirl slots and rebuilds the frame program, seeded with
+    /// `seed`, **sharing** the timeline [`ExecutionPlan`] — the
     /// pass pipeline and segment construction are not repeated.
     /// Merged slots are zero-width and error-free, so the timeline is
     /// provably identical across instances; results are bit-identical
@@ -322,15 +427,16 @@ impl CompiledCircuit {
         dressing: &[(usize, Pauli)],
         seed: u64,
     ) -> Result<CompiledCircuit, SimError> {
-        if matches!(self.backend, CompiledBackend::Dense) {
+        if matches!(*self.backend, Backend::Dense) {
             return Err(SimError::InvalidDressing {
                 item: dressing.first().map_or(0, |d| d.0),
                 reason: "dense artifacts cannot be re-dressed; compile the instance",
             });
         }
-        let sc = Arc::new(apply_dressing(&self.sc, dressing)?);
+        let sc = Arc::new(apply_dressing(&self.program.sc, dressing)?);
         let key = cache_key(sim_fingerprint(&self.sim), &sc, seed);
-        self.sim.compile_with(sc, self.plan.clone(), seed, key)
+        let program = Program::new(sc, self.program.plan.clone());
+        seeded(&self.sim, Arc::new(program), seed, key)
     }
 }
 
@@ -431,28 +537,30 @@ impl Simulator {
             &self.device,
             &self.config,
         )?);
-        self.compile_with(sc, plan, seed, key)
+        seeded(
+            &Arc::new(self.clone()),
+            Arc::new(Program::new(sc, plan)),
+            seed,
+            key,
+        )
     }
 
-    /// Assembles a [`CompiledCircuit`] over a prebuilt timeline plan.
-    /// For frame backends, `plan.sc` may differ from `sc` at merged
-    /// single-qubit Pauli slots (the re-dressed-twirl contract: the
-    /// timeline is identical there); the dense backend replays exact
-    /// unitaries from `plan.sc`, so it requires `plan.sc == sc` and
-    /// gets a fresh plan from the caller otherwise.
-    fn compile_with(
+    /// Resolves the engine for `sc` and compiles its seed-free
+    /// program over a prebuilt timeline plan. For frame backends,
+    /// `plan.sc` may differ from `sc` at merged single-qubit Pauli
+    /// slots (the re-dressed-twirl contract: the timeline is identical
+    /// there); the dense backend replays exact unitaries from
+    /// `plan.sc`, so it requires `plan.sc == sc` and gets a fresh plan
+    /// from the caller otherwise.
+    fn build_backend(
         &self,
-        sc: Arc<ScheduledCircuit>,
-        plan: Arc<ExecutionPlan>,
-        seed: u64,
-        key: CacheKey,
-    ) -> Result<CompiledCircuit, SimError> {
-        let _s = ca_obs::span("sim.compile", "artifact");
-        ca_obs::counter_add("sim.compiles", 1);
-        let engine = self.engine_for(&sc)?.name();
-        let backend = match engine {
+        sc: &Arc<ScheduledCircuit>,
+        plan: &Arc<ExecutionPlan>,
+    ) -> Result<Backend, SimError> {
+        let frame = || FramePlan::build_with_plan(sc.clone(), plan.clone(), self.schedule);
+        Ok(match self.engine_for(sc)?.name() {
             "statevector" => {
-                check_gate_arities(&sc)?;
+                check_gate_arities(sc)?;
                 if sc.num_qubits > DENSE_MAX_QUBITS {
                     return Err(SimError::DenseCapExceeded {
                         qubits: sc.num_qubits,
@@ -460,31 +568,37 @@ impl Simulator {
                     });
                 }
                 debug_assert!(
-                    *plan.sc == *sc,
+                    *plan.sc == **sc,
                     "dense backends replay unitaries from the plan's circuit"
                 );
-                CompiledBackend::Dense
+                Backend::Dense
             }
-            "stabilizer" => CompiledBackend::Serial(FramePlan::build_with_plan(
-                sc.clone(),
-                plan.clone(),
-                seed,
-                self.schedule,
-            )?),
-            _ => CompiledBackend::Batch(BatchPlan::from_frame(
-                self,
-                FramePlan::build_with_plan(sc.clone(), plan.clone(), seed, self.schedule)?,
-            )),
-        };
-        Ok(CompiledCircuit {
-            sim: self.clone(),
-            sc,
-            plan,
-            backend,
-            key,
-            seed,
+            "stabilizer" => Backend::Serial(frame()?),
+            _ => Backend::Batch(BatchPlan::from_frame(self, frame()?)),
         })
     }
+}
+
+/// Assembles a [`CompiledCircuit`]: `program` (its engine program
+/// built on first use) seeded with `seed`. The reference run the seed
+/// determines is deferred to the artifact's first run.
+fn seeded(
+    sim: &Arc<Simulator>,
+    program: Arc<Program>,
+    seed: u64,
+    key: CacheKey,
+) -> Result<CompiledCircuit, SimError> {
+    let _s = ca_obs::span("sim.compile", "artifact");
+    ca_obs::counter_add("sim.compiles", 1);
+    let backend = program.backend(sim)?;
+    Ok(CompiledCircuit {
+        sim: sim.clone(),
+        program,
+        backend,
+        reference: Reference::default(),
+        key,
+        seed,
+    })
 }
 
 /// One unit of work for [`Session::submit`].
@@ -763,9 +877,14 @@ impl CacheStats {
     }
 }
 
-/// Default plan-cache capacity: large enough to hold a full
-/// multi-strategy sweep's twirl ensemble, small enough to bound
-/// memory.
+/// Default plan-cache capacity, per level: large enough to hold a
+/// full multi-strategy sweep's twirl ensemble. Level-one entries are
+/// seeded handles of a few hundred bytes (plus a reference tableau
+/// once an expectation ran: `n²/2` bytes, 0.63 MB at 1121 qubits);
+/// the memory bound is level two, which holds one program per
+/// distinct circuit — about 1 MB for a 1121-qubit circuit, mostly its
+/// per-qubit bank tables, so 128 distinct 1121-qubit circuits can
+/// hold ~130 MB. Fresh seeds of one circuit add no program.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
 /// The plan-cache capacity [`Session::new`] resolves from the
@@ -794,12 +913,13 @@ pub fn plan_cache_capacity_from_env() -> usize {
 /// Results are deterministic: bit-identical across cache hits and
 /// misses, eviction histories, and worker counts.
 pub struct Session {
-    sim: Simulator,
+    /// Shared by every artifact the session compiles.
+    sim: Arc<Simulator>,
     sim_fp: u64,
-    /// Level one: finished artifacts per `(circuit, seed)`.
+    /// Level one: seeded artifacts per `(circuit, seed)`.
     cache: Mutex<Lru<CompiledCircuit>>,
-    /// Level two: seed-independent timeline plans per circuit.
-    exec: Mutex<Lru<ExecutionPlan>>,
+    /// Level two: seed-free programs per circuit.
+    programs: Mutex<Lru<Program>>,
 }
 
 impl Session {
@@ -814,7 +934,7 @@ impl Session {
     pub fn with_capacity(sim: Simulator, capacity: usize) -> Self {
         let sim_fp = sim_fingerprint(&sim);
         Self {
-            sim,
+            sim: Arc::new(sim),
             sim_fp,
             cache: Mutex::new(Lru::new(
                 capacity,
@@ -825,7 +945,7 @@ impl Session {
                     verify_mismatch: "session.cache.verify_mismatch",
                 },
             )),
-            exec: Mutex::new(Lru::new(
+            programs: Mutex::new(Lru::new(
                 capacity,
                 LruCounterNames {
                     hit: "session.exec_cache.hit",
@@ -856,38 +976,50 @@ impl Session {
         }
     }
 
-    /// The seed-independent timeline plan for `sc`, through the
-    /// level-two cache.
-    fn exec_plan(&self, sc: &ScheduledCircuit) -> Result<Arc<ExecutionPlan>, SimError> {
+    /// The seed-free program for `sc`, through the level-two cache.
+    /// On a miss the program takes `timeline` when given (a twirl
+    /// instance shares its base circuit's timeline plan) and builds
+    /// the timeline plan from `sc` otherwise; its engine program is
+    /// built by the first seeded artifact that needs it.
+    fn program(
+        &self,
+        sc: &ScheduledCircuit,
+        timeline: Option<Arc<ExecutionPlan>>,
+    ) -> Result<Arc<Program>, SimError> {
         let mut h = Fnv::new();
         h.u64(self.sim_fp);
         h.u64(sc.structural_hash());
         let key = h.finish();
         if let Some(hit) = self
-            .exec
+            .programs
             .lock()
-            .expect("exec cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
+            .expect("program cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
             .get(key, |p| *p.sc == *sc)
         {
             return Ok(hit);
         }
-        let plan = Arc::new(ExecutionPlan::build_arc(
-            Arc::new(sc.clone()),
-            &self.sim.device,
-            &self.sim.config,
-        )?);
-        self.exec
+        let sc = Arc::new(sc.clone());
+        let plan = match timeline {
+            Some(plan) => plan,
+            None => Arc::new(ExecutionPlan::build_arc(
+                sc.clone(),
+                &self.sim.device,
+                &self.sim.config,
+            )?),
+        };
+        let program = Arc::new(Program::new(sc, plan));
+        self.programs
             .lock()
-            .expect("exec cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key, plan.clone());
-        Ok(plan)
+            .expect("program cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
+            .insert(key, program.clone());
+        Ok(program)
     }
 
     /// The compiled artifact for `(sc, seed)`: served from the LRU
     /// cache when present (verified against the circuit, so hash
     /// collisions can only cost a recompile), compiled and cached
     /// otherwise. Level-one misses still reuse the circuit's cached
-    /// timeline plan across seeds.
+    /// program (timeline plan and engine program) across seeds.
     pub fn compiled(
         &self,
         sc: &ScheduledCircuit,
@@ -902,8 +1034,8 @@ impl Session {
         {
             return Ok(hit);
         }
-        let plan = self.exec_plan(sc)?;
-        let compiled = Arc::new(self.sim.compile_with(plan.sc.clone(), plan, seed, key)?);
+        let program = self.program(sc, None)?;
+        let compiled = Arc::new(seeded(&self.sim, program, seed, key)?);
         self.cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
@@ -913,10 +1045,10 @@ impl Session {
 
     /// The compiled artifact for a dressed twirl instance: the base
     /// circuit's timeline plan is shared across every instance and
-    /// seed; only the frame program and reference run are built per
-    /// instance. Falls back to an independent compile when the
-    /// dressed circuit resolves to the dense engine (which replays
-    /// unitaries from its own plan).
+    /// seed, and each instance's frame program across its seeds; only
+    /// the reference run is per seed. Falls back to an independent
+    /// compile when the dressed circuit resolves to the dense engine
+    /// (which replays unitaries from its own plan).
     pub fn compiled_dressed(
         &self,
         base: &ScheduledCircuit,
@@ -934,17 +1066,17 @@ impl Session {
             return Ok(hit);
         }
         // Resolve through the simulator's own dispatch so this branch
-        // can never disagree with the engine `compile_with` picks.
+        // can never disagree with the engine `build_backend` picks.
+        // Dense resolution: the plan must be built from the dressed
+        // circuit itself.
         let frame_capable = self.sim.engine_name_for(&dressed)? != "statevector";
-        let compiled = if frame_capable {
-            let plan = self.exec_plan(base)?;
-            Arc::new(self.sim.compile_with(Arc::new(dressed), plan, seed, key)?)
+        let timeline = if frame_capable {
+            Some(self.program(base, None)?.plan.clone())
         } else {
-            // Dense resolution: the plan must be built from the
-            // dressed circuit itself (cached seed-independently).
-            let plan = self.exec_plan(&dressed)?;
-            Arc::new(self.sim.compile_with(plan.sc.clone(), plan, seed, key)?)
+            None
         };
+        let program = self.program(&dressed, timeline)?;
+        let compiled = Arc::new(seeded(&self.sim, program, seed, key)?);
         self.cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
@@ -1211,6 +1343,48 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(serial, parallel, "job fan-out must not change results");
+    }
+
+    /// 64 fresh seeds of one circuit share one seed-free program
+    /// through the level-two cache, none builds a reference tableau
+    /// until an expectation asks for one, and every result equals the
+    /// uncached session's.
+    #[test]
+    fn fresh_seeds_share_one_program_and_defer_the_tableau() {
+        let sc = workload(6);
+        let cached = Session::with_capacity(noisy_sim(6), 128);
+        let uncached = Session::with_capacity(noisy_sim(6), 0);
+        let none = InsertionSet::empty();
+        let obs = vec![
+            PauliString::parse("ZZIIII").unwrap(),
+            PauliString::parse("IXYIIZ").unwrap(),
+        ];
+        let artifacts: Vec<Arc<CompiledCircuit>> = (0..64)
+            .map(|i| cached.compiled(&sc, 1000 + i).unwrap())
+            .collect();
+        for (i, a) in artifacts.iter().enumerate() {
+            assert!(Arc::ptr_eq(a.program(), artifacts[0].program()), "seed {i}");
+            let counts = a.run_counts(257, &none, None).unwrap();
+            assert!(!a.has_reference_tableau(), "counts need no tableau");
+            let cold = uncached
+                .run(&Job::counts(sc.clone(), 257, a.seed()))
+                .unwrap();
+            assert_eq!(JobOutput::Counts(counts), cold, "seed {}", a.seed());
+        }
+        for a in artifacts.iter().step_by(9) {
+            let e = a.expect_paulis(&obs, 193, &none, None).unwrap();
+            assert!(a.has_reference_tableau());
+            let cold = uncached
+                .run(&Job::expect(sc.clone(), obs.clone(), 193, a.seed()))
+                .unwrap();
+            assert_eq!(JobOutput::Expect(e), cold, "seed {}", a.seed());
+            // The tableau's run also left the counts' reference intact.
+            let counts = a.run_counts(100, &none, None).unwrap();
+            let cold = uncached
+                .run(&Job::counts(sc.clone(), 100, a.seed()))
+                .unwrap();
+            assert_eq!(JobOutput::Counts(counts), cold);
+        }
     }
 
     #[test]

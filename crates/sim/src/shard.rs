@@ -18,6 +18,14 @@
 //! bit-identical to unsharded output — and hence to the serial
 //! engine — for every shard and worker count.
 //!
+//! Both layouts are the *pruned* one: a run samples only the noise
+//! sites in its output cone (see `frame_batch::Liveness`), so a
+//! shard pushes words only for its live sites and groups lanes by
+//! noise code only for its qubits with a live bank flush. The merge
+//! schedule therefore copies each op's *live* word count, and a
+//! shard's initial-Z block holds its live qubits only. On a sparse
+//! layer most shards own idle lattice and finish almost at once.
+//!
 //! Seed-schedule v1 draws are positional in a per-shot stream and
 //! cannot shard; the v1 path never reaches this module, which keeps
 //! the cross-schedule equivalence guarantees intact.
@@ -71,9 +79,10 @@ pub(crate) fn qubit_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
 /// layout: first every shard's initial-Z block in shard order (shard
 /// ranges are contiguous and ascending, so this *is* the qubit-major
 /// order), then one copy per program op in global op order, pulled
-/// from the owning shard's cursor. `sched` lists, for each op that
-/// pushed any words, the owning shard and its word count;
-/// `total_words` is the serial buffer's exact length.
+/// from the owning shard's cursor. `init_lens` are the shards'
+/// initial-Z block lengths (live qubits only); `sched` lists, for
+/// each op that pushed any words, the owning shard and its live word
+/// count; `total_words` is the serial buffer's exact length.
 pub(crate) fn merge_op_order(
     bufs: &[Vec<u64>],
     init_lens: &[usize],

@@ -117,3 +117,99 @@ fn narrow_circuit_on_wide_devices_runs_and_stays_invariant() {
         assert_eq!(one.shots, 130);
     }
 }
+
+/// A pruning workload on a wide lattice: eight driven qubits spread
+/// over the device, each prepared in superposition, left to accrue
+/// crosstalk from its idle neighbours, entangled with one neighbour
+/// and rotated back before readout, so the dead-to-live ZZ edges
+/// flush right before a basis change. Only `measured` of them are
+/// read; the rest of the lattice is idle.
+fn cone_workload(device: &Device, measured: usize) -> ScheduledCircuit {
+    let n = device.num_qubits();
+    let mut qc = Circuit::new(n, measured);
+    let actives: Vec<usize> = (0..8).map(|i| i * n / 8 + 3).collect();
+    for &q in &actives {
+        qc.h(q).delay(700.0, q);
+    }
+    for &q in &actives {
+        if let Some(&(a, b)) = device
+            .topology
+            .edges
+            .iter()
+            .find(|&&(a, b)| a == q || b == q)
+        {
+            qc.ecr(a, b);
+        }
+        qc.h(q);
+    }
+    for (c, &q) in actives.iter().take(measured).enumerate() {
+        qc.measure(q, c);
+    }
+    schedule_asap(&qc, GateDurations::default())
+}
+
+fn wide_sim(device: Device) -> Simulator {
+    Simulator::with_config(device, NoiseConfig::default()).with_seed_schedule(SeedSchedule::V2)
+}
+
+// Output-cone pruning on the sharded path: at 433 and 1121 qubits the
+// counts cone is a few dozen qubits, and the pruned, sharded sampler
+// must still match the unpruned serial engine bit for bit at every
+// worker count (1 → unsharded, 2/3 → sharded on a one-strip run).
+#[test]
+fn pruned_sharded_counts_match_serial_at_433q_and_1121q() {
+    for device in [presets::osprey_like(11), presets::condor_like(11)] {
+        let n = device.num_qubits();
+        let sim = wide_sim(device);
+        let sc = cone_workload(&sim.device, 5);
+        for (shots, seed) in [(200usize, 7u64), (300, 8)] {
+            let serial = StabilizerEngine::new(&sim)
+                .run_counts(&sc, shots, seed)
+                .unwrap();
+            let batch = BatchedFrameEngine::new(&sim);
+            for workers in [1usize, 2, 3] {
+                let got = batch
+                    .run_counts_with_workers(&sc, shots, seed, Some(workers))
+                    .unwrap();
+                assert_eq!(serial, got, "{n}q shots {shots} workers {workers}");
+            }
+        }
+    }
+}
+
+// Expectations and flips read observable supports: X/Y letters keep a
+// qubit's Z plane live, Z letters only its X plane.
+#[test]
+fn pruned_sharded_expectations_and_flips_match_serial_at_433q() {
+    let sim = wide_sim(presets::osprey_like(12));
+    let sc = cone_workload(&sim.device, 0);
+    let n = sim.device.num_qubits();
+    let a = |i: usize| i * n / 8 + 3;
+    let word = |letters: &[(usize, char)]| {
+        let mut s = vec!['I'; n];
+        for &(q, l) in letters {
+            s[q] = l;
+        }
+        ca_circuit::PauliString::parse(&s.into_iter().collect::<String>()).unwrap()
+    };
+    let obs = [
+        word(&[(a(0), 'Z'), (a(3), 'X')]),
+        word(&[(a(5), 'Y')]),
+        word(&[(a(1), 'Z'), (a(2), 'Z'), (a(7), 'X'), (a(6) + 1, 'Z')]),
+    ];
+    let serial = StabilizerEngine::new(&sim);
+    let batch = BatchedFrameEngine::new(&sim);
+    let none = ca_sim::InsertionSet::empty();
+    let e = serial.expect_paulis(&sc, &obs, 300, 21).unwrap();
+    let f = serial.expect_flips(&sc, &obs, 300, 21, &none).unwrap();
+    for workers in [1usize, 2, 3] {
+        let got = batch
+            .expect_paulis_with_workers(&sc, &obs, 300, 21, Some(workers))
+            .unwrap();
+        assert_eq!(e, got, "expectations at {workers} workers");
+        let got = batch
+            .expect_flips(&sc, &obs, 300, 21, &none, Some(workers))
+            .unwrap();
+        assert_eq!(f, got, "flips at {workers} workers");
+    }
+}

@@ -968,3 +968,134 @@ fn dense_expectations_identical_across_worker_counts() {
         assert_eq!(bits(got), PINNED, "submit path");
     }
 }
+
+// ---- Output-cone pruning ------------------------------------------------
+//
+// Under seed schedule v2 the batch engine samples only the noise sites
+// whose masks can reach the run's outputs (measured clbits for counts,
+// observable supports for expectations and flips). The serial engine
+// is never pruned, so it is the oracle: every case below must match it
+// bit for bit at 1, 2 and 3 workers. The circuits put idle, noisy
+// spectators next to the qubits that are read — ZZ edges from a dead
+// qubit to a live one flush right before a basis change on the live
+// end, so dropping such an edge's draw changes the counts.
+
+/// An 8-qubit line with every channel on, pinned to `schedule`.
+fn pruning_sim(schedule: ca_sim::plan::SeedSchedule) -> Simulator {
+    noisy_frame_sim(8).with_seed_schedule(schedule)
+}
+
+/// Qubits 2, 3 and 5 are read; 0, 1, 4, 6 and 7 idle or run gates
+/// nothing reads. Edges (1,2), (3,4), (4,5) and (5,6) join dead
+/// spectators to live qubits and flush at the H gates.
+fn spectator_circuit(measured: bool) -> Circuit {
+    let mut qc = Circuit::new(8, if measured { 3 } else { 0 });
+    qc.h(2).h(3).h(5).sx(7);
+    qc.delay(900.0, 2).delay(700.0, 5);
+    qc.h(5).ecr(2, 3);
+    qc.x(3).delay(400.0, 3).x(3);
+    qc.h(2).delay(300.0, 5).h(5);
+    if measured {
+        qc.measure(2, 0).measure(3, 1).measure(5, 2);
+    }
+    qc
+}
+
+/// Counts at workers 1/2/3 against the serial engine.
+fn assert_counts_match_serial(sim: &Simulator, qc: &Circuit, shots: usize, seed: u64) {
+    let sc = schedule_asap(qc, GateDurations::default());
+    let serial = StabilizerEngine::new(sim)
+        .run_counts(&sc, shots, seed)
+        .unwrap();
+    let batch = BatchedFrameEngine::new(sim);
+    for workers in [1usize, 2, 3] {
+        let got = batch
+            .run_counts_with_workers(&sc, shots, seed, Some(workers))
+            .unwrap();
+        assert_eq!(serial, got, "shots {shots} seed {seed} workers {workers}");
+    }
+}
+
+#[test]
+fn pruned_partial_measurement_with_idle_spectators_matches_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    for (shots, seed) in [(700usize, 3u64), (1025, 19)] {
+        assert_counts_match_serial(&sim, &spectator_circuit(true), shots, seed);
+    }
+}
+
+#[test]
+fn pruned_mid_circuit_measure_and_reset_match_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let mut qc = Circuit::new(8, 4);
+    qc.h(1).h(4).ecr(1, 2);
+    // Clbit 3 is written twice: the first write (qubit 4) is dead.
+    qc.measure(4, 3).measure(1, 0);
+    qc.reset(1).h(1).delay(600.0, 1).ecr(1, 2);
+    qc.h(6).delay(500.0, 6);
+    qc.reset(2).sx(2);
+    qc.measure(2, 1).measure(1, 2).measure(6, 3);
+    for (shots, seed) in [(513usize, 5u64), (300, 77)] {
+        assert_counts_match_serial(&sim, &qc, shots, seed);
+    }
+}
+
+#[test]
+fn pruned_expectations_with_every_letter_match_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sc = schedule_asap(&spectator_circuit(false), GateDurations::default());
+    let obs = [
+        PauliString::parse("IIZXIYII").unwrap(),
+        PauliString::parse("IIIIIZII").unwrap(),
+        PauliString::parse("IIXXIIII").unwrap(),
+        PauliString::parse("YIYIIIIZ").unwrap(),
+    ];
+    let serial = StabilizerEngine::new(&sim)
+        .expect_paulis(&sc, &obs, 777, 13)
+        .unwrap();
+    let batch = BatchedFrameEngine::new(&sim);
+    for workers in [1usize, 2, 3] {
+        let got = batch
+            .expect_paulis_with_workers(&sc, &obs, 777, 13, Some(workers))
+            .unwrap();
+        assert_eq!(serial, got, "{workers} workers");
+    }
+}
+
+#[test]
+fn pruned_flips_with_pec_insertions_match_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sc = schedule_asap(&spectator_circuit(false), GateDurations::default());
+    let obs = [
+        PauliString::parse("IIZZIXII").unwrap(),
+        PauliString::parse("IIIIIYII").unwrap(),
+    ];
+    let (shots, seed) = (600, 29);
+    let ins = random_insertions(&sc, shots, shots, seed);
+    let serial = StabilizerEngine::new(&sim)
+        .expect_flips(&sc, &obs, shots, seed, &ins)
+        .unwrap();
+    let batch = BatchedFrameEngine::new(&sim);
+    for workers in [1usize, 2, 3] {
+        let got = batch
+            .expect_flips(&sc, &obs, shots, seed, &ins, Some(workers))
+            .unwrap();
+        assert_eq!(serial, got, "{workers} workers");
+    }
+}
+
+#[test]
+fn feed_forward_circuits_are_not_pruned_and_match_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let mut qc = spectator_circuit(true);
+    qc.gate_if(Gate::X, [4], 0, true);
+    qc.gate_if(Gate::Z, [6], 1, false);
+    qc.h(4).measure(4, 2);
+    assert_counts_match_serial(&sim, &qc, 650, 31);
+}
+
+#[test]
+fn v1_schedule_runs_unpruned_and_matches_serial() {
+    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V1);
+    assert_counts_match_serial(&sim, &spectator_circuit(true), 650, 37);
+}
