@@ -46,16 +46,30 @@
 //! outputs — the measured clbits for counts, the observable supports
 //! for expectations and flips — and marks a noise site live only when
 //! its mask can reach one under the frame propagation rules. The
-//! sampling pass hashes live sites only (and groups a qubit's lanes
-//! by noise code only when one of its bank flushes is live); the
-//! propagation pass reads live words only. A dead site's mask would
-//! have landed on frame planes no output reads, and every v2 draw is
-//! a pure hash of `(seed, shot, site)`, so skipping it moves no other
-//! draw: pruned output is bit-identical to the unpruned serial
-//! engine. On a sparse layer of a wide device the idle lattice is
-//! dead, and sampling cost follows the driven qubits rather than the
-//! device width. Feed-forward programs and the v1 schedule, whose
+//! sampling pass hashes live sites only (and derives a qubit's
+//! per-lane noise codes only when one of its bank flushes is live);
+//! the propagation pass reads live words only. A dead site's mask
+//! would have landed on frame planes no output reads, and every v2
+//! draw is a pure hash of `(seed, shot, site)`, so skipping it moves
+//! no other draw: pruned output is bit-identical to the unpruned
+//! serial engine. On a sparse layer of a wide device the idle lattice
+//! is dead, and sampling cost follows the driven qubits rather than
+//! the device width. Feed-forward programs and the v1 schedule, whose
 //! draws are positional, are not pruned.
+//!
+//! ## Block ladders and per-lane bank thresholds (v2)
+//!
+//! A Bernoulli draw compares each lane's uniform, read MSB-first one
+//! bit-plane at a time, against a threshold ([`lt_mask`]). The word
+//! ladders run branch-free over blocks of [`LADDER_BLOCK`] planes and
+//! test for an exit only between blocks; a step past the point where
+//! every lane is decided, or where every remaining threshold bit is 0,
+//! adds no lane, so the blocks are exact. A bank flush's threshold
+//! differs per lane: each lane carries a one-byte noise code, the
+//! flush transposes its lanes' top threshold bytes into
+//! [`LADDER_BLOCK`] threshold words for one block, and the lanes that
+//! block leaves undecided (about 1 in 256) finish one by one on their
+//! own threshold ([`bank_mask`]).
 //!
 //! Classical feed-forward batches too: a conditional gate becomes a
 //! lane-masked [`BatchOp::CondGate`] whose per-lane firing decision
@@ -70,9 +84,9 @@ use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
 use crate::pauli_frame::{FramePlan, ItemOp, RefBits};
 use crate::plan::{
-    bern_theta, bern_threshold, damping_thresholds, fair_plane, lattice_idx, lattice_value,
-    lt_mask, lt_masks, map_batches, pick, plane, shot_key, shot_seed, site, site_draw,
-    worker_count, PlanOp, SeedSchedule, LATTICE_STEPS,
+    bern_theta, bern_threshold, damping_thresholds, fair_plane, ladder_step, lattice_idx,
+    lattice_value, lt_mask, lt_masks, map_batches, pick, plane, shot_key, shot_seed, site,
+    site_draw, worker_count, PlanOp, SeedSchedule, LADDER_BLOCK, LATTICE_STEPS,
 };
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::{pauli_to_bits, Tableau};
@@ -253,11 +267,10 @@ enum BatchOp {
         /// (`slot · 33 + lattice index`, see [`BatchPlan::bank_table`]);
         /// present exactly when `bank` is.
         table: Option<Arc<[u64]>>,
-        /// Compile-assigned index of this flush's distinct
-        /// `(qubit, table)` pair, so the sampling pass caches one
-        /// transposed-threshold set per pair per word and every
-        /// repeat flush of the same bank hits it.
-        tslot: u32,
+        /// Every threshold in `table` is below 2⁵⁶: the top bytes the
+        /// sampling pass would transpose are all zero, so it skips
+        /// the transpose.
+        top_zero: bool,
         /// Crosstalk edges flushing here, in the serial engine's
         /// incident-edge order.
         edges: Vec<FlushEdge>,
@@ -398,9 +411,14 @@ pub(crate) enum Outputs<'a> {
 /// moves, because every v2 draw is a pure hash of `(seed, shot, site)`.
 pub(crate) struct Liveness {
     site: Vec<bool>,
-    /// Per qubit: some live bank flush reads the qubit's per-lane
-    /// noise codes, so the sampling pass must group its lanes.
-    codes: Vec<bool>,
+    /// Per qubit: its row in the sampling pass's per-lane noise-code
+    /// bytes, or [`NO_CODES`]. Only a qubit with a live bank flush
+    /// reads its codes, so only those qubits get a row.
+    codes: Vec<u32>,
+    /// The qubits with a row, ascending: row `r` belongs to
+    /// `coded[r]`, so a contiguous qubit range owns a contiguous run
+    /// of rows.
+    coded: Vec<usize>,
     /// Per op: mask-buffer words per strip word its live sites push
     /// (the unit the sharded merge copies per op).
     words: Vec<u32>,
@@ -408,13 +426,10 @@ pub(crate) struct Liveness {
     /// exactly `stride · wc` words, in the order the propagation pass
     /// consumes them.
     stride: usize,
-    /// Per [`BatchOp::Flush::tslot`]: its slot in the sampling pass's
-    /// transposed-threshold cache, numbered over live bank flushes
-    /// only (`u32::MAX` when dead).
-    tslot: Vec<u32>,
-    /// Live transposed-threshold slots.
-    tslots: usize,
 }
+
+/// [`Liveness::codes`] of a qubit no live bank flush reads.
+const NO_CODES: u32 = u32::MAX;
 
 impl Liveness {
     /// Live sites, for the observability counters.
@@ -437,9 +452,6 @@ pub struct BatchPlan {
     /// lane to stay stream-compatible with the serial engine (v1
     /// schedule only — v2 draws are position-free).
     serial_words: usize,
-    /// Count of distinct `(qubit, table)` flush pairs (see
-    /// [`BatchOp::Flush::tslot`]).
-    tslot_total: usize,
     /// Per op: index of its first noise site (see [`Liveness`]).
     site_base: Vec<usize>,
     /// Noise sites in the whole program, initial-Z sites included.
@@ -483,6 +495,79 @@ fn bank_table(stat: f64, time: f64, cp: f64, qk: f64) -> Arc<[u64]> {
         }
     }
     t.into()
+}
+
+/// Transposes an 8×8 bit matrix held one row per byte: bit `c` of
+/// byte `r` moves to bit `r` of byte `c`.
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// The first [`LADDER_BLOCK`] transposed threshold words of a bank
+/// flush: entry `k` holds the lanes whose own threshold
+/// `table[codes[j]]` has MSB-first bit `k` set. Each group of eight
+/// lanes packs its thresholds' top bytes into one word, and one 8×8
+/// transpose turns it into eight plane-aligned bytes: byte `7 − k` of
+/// the transpose holds bit `7 − k` of each top byte, which is
+/// MSB-first bit `k` of each threshold.
+#[inline]
+fn transposed_thresholds(table: &[u64], codes: &[u8]) -> [u64; LADDER_BLOCK as usize] {
+    let mut tp = [0u64; LADDER_BLOCK as usize];
+    for (g, group) in codes.chunks_exact(8).enumerate() {
+        let mut top = 0u64;
+        for (i, &c) in group.iter().enumerate() {
+            top |= (table[c as usize] >> 56) << (8 * i);
+        }
+        let cols = transpose8(top);
+        for (k, t) in tp.iter_mut().enumerate() {
+            *t |= (cols >> (8 * (7 - k)) & 0xFF) << (8 * g);
+        }
+    }
+    tp
+}
+
+/// The lanes of one strip word whose uniform draw at a bank flush's
+/// site (plane base `base`) is below their own threshold
+/// `table[codes[j]]`: bit `j` equals `lt_lane(base, j, table[codes[j]])`.
+/// One branch-free block of [`LADDER_BLOCK`] planes over the
+/// transposed thresholds decides a lane with probability 1 − 2⁻⁸;
+/// the rare lanes still undecided finish one by one on their own
+/// threshold from plane [`LADDER_BLOCK`] on. `top_zero` says every
+/// threshold in `table` is below 2⁵⁶, so the transposed words are
+/// all zero and are not built.
+fn bank_mask(base: u64, table: &[u64], codes: &[u8], top_zero: bool) -> u64 {
+    let tp = if top_zero {
+        [0; LADDER_BLOCK as usize]
+    } else {
+        transposed_thresholds(table, codes)
+    };
+    let mut zm = 0u64;
+    let mut undecided = u64::MAX;
+    for (k, &tk) in tp.iter().enumerate() {
+        ladder_step(&mut zm, &mut undecided, tk, plane(base, k as u32));
+    }
+    while undecided != 0 {
+        let j = undecided.trailing_zeros();
+        undecided &= undecided - 1;
+        let t = table[codes[j as usize] as usize];
+        for k in LADDER_BLOCK..64 {
+            if t << k == 0 {
+                break;
+            }
+            let ubit = plane(base, k) >> j & 1;
+            if ubit != t >> (63 - k) & 1 {
+                zm |= (1 - ubit) << j;
+                break;
+            }
+        }
+    }
+    zm
 }
 
 impl BatchPlan {
@@ -564,6 +649,9 @@ impl BatchPlan {
                     .or_insert_with(|| bank_table(s, t, cp, qk))
                     .clone()
             });
+            let top_zero = table
+                .as_ref()
+                .is_some_and(|t| t.iter().all(|&v| v >> 56 == 0));
             let mut edges = Vec::new();
             for &e in &plan.incident[q] {
                 let th = rzz[e];
@@ -595,7 +683,7 @@ impl BatchPlan {
                     op: op_i,
                     bank,
                     table,
-                    tslot: 0,
+                    top_zero,
                     edges,
                     deco,
                 });
@@ -842,34 +930,6 @@ impl BatchPlan {
             );
         }
 
-        // Number the distinct (qubit, table) pairs: ~6 flushes per
-        // qubit share a handful of memoized bank tables, and the
-        // sampling pass keys its transposed-threshold cache on this.
-        let mut tslot_total = 0usize;
-        {
-            let mut seen: Vec<Vec<(*const u64, u32)>> = vec![Vec::new(); n];
-            for op in ops.iter_mut() {
-                if let BatchOp::Flush {
-                    q,
-                    table: Some(t),
-                    tslot,
-                    ..
-                } = op
-                {
-                    let key = Arc::as_ptr(t) as *const u64;
-                    let list = &mut seen[*q];
-                    *tslot = match list.iter().find(|(p, _)| *p == key) {
-                        Some(&(_, i)) => i,
-                        None => {
-                            let i = tslot_total as u32;
-                            list.push((key, i));
-                            tslot_total += 1;
-                            i
-                        }
-                    };
-                }
-            }
-        }
         let mut site_base = Vec::with_capacity(ops.len());
         let mut sites = n;
         for op in &ops {
@@ -882,7 +942,6 @@ impl BatchPlan {
             frame,
             ops,
             n,
-            tslot_total,
             site_base,
             sites,
             feed_forward,
@@ -995,13 +1054,11 @@ impl BatchPlan {
         self.layout(site)
     }
 
-    /// The compacted buffer layout, noise-code needs and threshold
-    /// cache slots of a live-site mask.
+    /// The compacted buffer layout and noise-code rows of a live-site
+    /// mask.
     fn layout(&self, site: Vec<bool>) -> Liveness {
         let n = self.n;
-        let mut codes = vec![false; n];
-        let mut tslot = vec![u32::MAX; self.tslot_total];
-        let mut tslots = 0usize;
+        let mut codes = vec![NO_CODES; n];
         let mut stride = site[..n].iter().filter(|&&l| l).count();
         let mut words = Vec::with_capacity(self.ops.len());
         for (op, &base) in self.ops.iter().zip(&self.site_base) {
@@ -1012,28 +1069,24 @@ impl BatchPlan {
             words.push(w as u32);
             stride += w;
             if let BatchOp::Flush {
-                q,
-                table: Some(_),
-                tslot: t,
-                ..
+                q, table: Some(_), ..
             } = op
             {
                 if site[base] {
-                    codes[*q] = true;
-                    if tslot[*t as usize] == u32::MAX {
-                        tslot[*t as usize] = tslots as u32;
-                        tslots += 1;
-                    }
+                    codes[*q] = 0;
                 }
             }
+        }
+        let coded: Vec<usize> = (0..n).filter(|&q| codes[q] != NO_CODES).collect();
+        for (row, &q) in coded.iter().enumerate() {
+            codes[q] = row as u32;
         }
         Liveness {
             site,
             codes,
+            coded,
             words,
             stride,
-            tslot,
-            tslots,
         }
     }
 
@@ -1363,80 +1416,33 @@ impl BatchPlan {
         q_hi: usize,
         out: &mut Vec<u64>,
     ) {
-        // Per-(qubit, word) noise-code groups: lanes sharing a code
-        // (charge-parity slot × detuning lattice index) share every
-        // bank threshold, so each flush walks one ladder per *group*
-        // over shared planes instead of hashing per lane. The gating
+        // Per-lane noise codes (charge-parity slot × detuning lattice
+        // index, one byte per lane) of the range's qubits whose codes a
+        // live bank flush reads, one row per such qubit. The gating
         // mirrors `ShotNoise::sample_v2` exactly.
         let config = &sim.config;
-        // Flat group storage: entry list + offsets, so the per-strip
-        // precompute performs two allocations instead of one `Vec`
-        // per (qubit, word).
-        let mut group_data: Vec<(u8, u64)> = Vec::new();
-        let mut group_off: Vec<u32> = Vec::new();
-        // Only a live bank flush reads the groups.
-        if live.tslots > 0 {
-            group_data.reserve_exact((q_hi - q_lo) * wc * 2);
-            group_off.reserve_exact((q_hi - q_lo) * wc + 1);
-            group_off.push(0);
-            let mut masks = [0u64; 3 * LATTICE_STEPS];
-            for q in q_lo..q_hi {
-                if !live.codes[q] {
-                    // No live bank flush reads this qubit's codes.
-                    group_off.extend(std::iter::repeat_n(group_data.len() as u32, wc));
-                    continue;
-                }
-                let cal = &sim.device.calibration.qubits[q];
-                let par = config.charge_parity && cal.charge_parity_khz > 0.0;
-                let s = site::id(site::NOISE, 0, q);
-                for w in 0..wc {
-                    // Occupied codes as a 99-bit bitmap: the per-lane
-                    // loop stays branch-free, and groups drain in code
-                    // order (the flush OR is commutative, so ordering
-                    // is free to change).
-                    let mut seen = [0u64; 2];
-                    for j in 0..LANES {
-                        let h = site_draw(inner[w * LANES + j], s);
-                        let slot = if par {
-                            if h >> 63 & 1 == 1 {
-                                1
-                            } else {
-                                2
-                            }
-                        } else {
-                            0
-                        };
-                        let c = slot * LATTICE_STEPS + lattice_idx(h);
-                        seen[c / 64] |= 1 << (c % 64);
-                        masks[c] |= 1 << j;
+        let lanes = wc * LANES;
+        let rows =
+            live.coded.partition_point(|&q| q < q_lo)..live.coded.partition_point(|&q| q < q_hi);
+        let mut codes = vec![0u8; rows.len() * lanes];
+        for (row, &q) in codes.chunks_exact_mut(lanes).zip(&live.coded[rows.clone()]) {
+            let cal = &sim.device.calibration.qubits[q];
+            let par = config.charge_parity && cal.charge_parity_khz > 0.0;
+            let s = site::id(site::NOISE, 0, q);
+            for (c, &key) in row.iter_mut().zip(inner) {
+                let h = site_draw(key, s);
+                let slot = if par {
+                    if h >> 63 & 1 == 1 {
+                        1
+                    } else {
+                        2
                     }
-                    for (blk, &sb) in seen.iter().enumerate() {
-                        let mut bits = sb;
-                        while bits != 0 {
-                            let c = blk * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            group_data.push((c as u8, masks[c]));
-                            masks[c] = 0;
-                        }
-                    }
-                    group_off.push(group_data.len() as u32);
-                }
+                } else {
+                    0
+                };
+                *c = (slot * LATTICE_STEPS + lattice_idx(h)) as u8;
             }
         }
-        // Transposed flush thresholds, one cache slot per (qubit,
-        // word): entry `k` holds the lanes whose own bank threshold
-        // has MSB-first bit `k` set. A flush then walks ONE combined
-        // ladder — decided lanes are where the plane bit differs from
-        // the lane's threshold bit — instead of one ladder per code
-        // group. Keyed by the compile-assigned (qubit, table) slot, so
-        // repeated flushes of an unchanged table reuse the transpose;
-        // twirled circuits draw mostly-distinct tables, where the win
-        // is the combined walk itself. Depth 8 leaves a lane
-        // undecided with probability 2⁻⁸; the rare survivors finish
-        // on the exact per-group ladder below.
-        const TDEPTH: usize = 8;
-        let mut tcache: Vec<(bool, [u64; TDEPTH])> =
-            vec![(false, [0u64; TDEPTH]); live.tslots * wc];
 
         // The mask buffer: pushed in the exact order the propagation
         // pass consumes the range's words.
@@ -1459,7 +1465,7 @@ impl BatchPlan {
                     q,
                     op,
                     table,
-                    tslot,
+                    top_zero,
                     edges,
                     deco,
                     ..
@@ -1468,57 +1474,11 @@ impl BatchPlan {
                     let mut k = sb;
                     if let Some(table) = table.as_ref().filter(|_| live.site[k]) {
                         let s = site::id(site::FLUSH_Z, *op, q);
+                        let row = (live.codes[q] as usize - rows.start) * lanes;
                         for w in 0..wc {
-                            let (lo, hi) = (
-                                group_off[(q - q_lo) * wc + w],
-                                group_off[(q - q_lo) * wc + w + 1],
-                            );
-                            let gslice = &group_data[lo as usize..hi as usize];
-                            let slot = &mut tcache[live.tslot[*tslot as usize] as usize * wc + w];
-                            if !slot.0 {
-                                let mut tp = [0u64; TDEPTH];
-                                for &(c, gm) in gslice {
-                                    let t = table[c as usize];
-                                    for (k, m) in tp.iter_mut().enumerate() {
-                                        *m |= (t >> (63 - k) & 1).wrapping_neg() & gm;
-                                    }
-                                }
-                                *slot = (true, tp);
-                            }
-                            let tp = &slot.1;
+                            let lane_codes = &codes[row + w * LANES..row + (w + 1) * LANES];
                             let b = site_draw(wkeys[w], s);
-                            let mut zm = 0u64;
-                            let mut undecided = u64::MAX;
-                            for (k, &tk) in tp.iter().enumerate() {
-                                if undecided == 0 {
-                                    break;
-                                }
-                                let p = plane(b, k as u32);
-                                zm |= undecided & tk & !p;
-                                undecided &= !(tk ^ p);
-                            }
-                            if undecided != 0 {
-                                // ~2⁻⁸-probability tail: finish each
-                                // surviving lane on its own group's
-                                // exact ladder from bit TDEPTH on.
-                                for &(c, gm) in gslice {
-                                    let t = table[c as usize];
-                                    let mut und = undecided & gm;
-                                    for k in TDEPTH..64 {
-                                        if und == 0 || t << k == 0 {
-                                            break;
-                                        }
-                                        let p = plane(b, k as u32);
-                                        if t >> (63 - k) & 1 == 1 {
-                                            zm |= und & !p;
-                                            und &= p;
-                                        } else {
-                                            und &= !p;
-                                        }
-                                    }
-                                }
-                            }
-                            out.push(zm);
+                            out.push(bank_mask(b, table, lane_codes, *top_zero));
                         }
                     }
                     k += usize::from(table.is_some());
@@ -1703,8 +1663,12 @@ impl BatchPlan {
     /// straight-line word arithmetic over the buffer. Lane-uniform
     /// probabilities compare whole 64-lane bit-planes against the
     /// threshold via the [`lt_mask`] ladder (≈ `1 + log₂(1/ε)` planes
-    /// instead of 64 scalar draws); lane-varying bank thresholds walk
-    /// the same ladder once per noise-code group over shared planes.
+    /// instead of 64 scalar draws), evaluated in branch-free blocks of
+    /// [`LADDER_BLOCK`] planes. Lane-varying bank thresholds are read
+    /// per lane from a one-byte noise code: a flush transposes its
+    /// lanes' top threshold bytes into [`LADDER_BLOCK`] threshold
+    /// words, walks one block over them, and finishes the rare lanes
+    /// still undecided one by one on their own thresholds.
     ///
     /// `shards > 1` additionally fans the sampling pass out across
     /// that many contiguous qubit shards (see [`crate::shard`]) —
@@ -2012,11 +1976,7 @@ impl BatchPlan {
                 let active = STRIP_SHOTS.min(shots - base);
                 let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let mut counts = BTreeMap::new();
-                    for &key in out.keys.iter().take(active) {
-                        *counts.entry(key).or_insert(0usize) += 1;
-                    }
-                    counts
+                    sorted_keys(&out.keys[..active])
                 }))
             })
         } else {
@@ -2027,18 +1987,14 @@ impl BatchPlan {
                 let active = LANES.min(shots - base);
                 let out = self.run_batch(sim, reference, seed, base, active, ins);
                 Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let mut counts = BTreeMap::new();
-                    for &key in out.keys.iter().take(active) {
-                        *counts.entry(key).or_insert(0usize) += 1;
-                    }
-                    counts
+                    sorted_keys(&out.keys[..active])
                 }))
             })
         }
         .into_iter()
         .collect::<Result<Vec<_>, SimError>>()?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            RunResult::from_parts(shots, nbits, parts)
+            RunResult::from_strip_keys(shots, nbits, parts)
         }))
     }
 
@@ -2270,6 +2226,14 @@ type PreparedObs = Vec<(i32, Vec<(usize, bool, bool)>)>;
 
 /// Every observable's support selectors in one list: the outputs an
 /// expectation or flips run reads.
+/// One strip's shot keys, sorted in the strip's worker for the
+/// counts reduction ([`RunResult::from_strip_keys`]).
+fn sorted_keys(keys: &[u64]) -> Vec<u64> {
+    let mut keys = keys.to_vec();
+    keys.sort_unstable();
+    keys
+}
+
 fn support_union(prepared: &PreparedObs) -> Vec<(usize, bool, bool)> {
     prepared
         .iter()
@@ -2885,11 +2849,11 @@ mod tests {
 
     /// A disabled or broken pruner fails here: on the 16-pair 1121q
     /// shape the counts cone reaches at most the 32 driven qubits, so
-    /// at least 90% of the per-(qubit, word) noise-code groups — and
+    /// at least 90% of the banked qubits' per-lane noise codes — and
     /// most program sites — are skipped, while the run stays
     /// bit-identical to the unpruned serial engine.
     #[test]
-    fn pruner_skips_most_noise_code_groups_on_the_16_pair_condor_shape() {
+    fn pruner_skips_most_noise_codes_on_the_16_pair_condor_shape() {
         let (sim, sc) = sixteen_pair_condor();
         let plan = BatchPlan::build(&sim, &sc).unwrap();
         let live = plan.liveness(Outputs::Clbits);
@@ -2900,16 +2864,19 @@ mod tests {
                 )
             })
             .collect();
-        let grouped = banked.iter().filter(|&&q| live.codes[q]).count();
+        let coded = banked
+            .iter()
+            .filter(|&&q| live.codes[q] != NO_CODES)
+            .count();
         assert!(
             banked.len() > 1000,
             "every idle qubit banks: {}",
             banked.len()
         );
-        assert!(grouped > 0, "the driven qubits' banks reach the outputs");
+        assert!(coded > 0, "the driven qubits' banks reach the outputs");
         assert!(
-            grouped * 10 <= banked.len(),
-            "pruner groups {grouped} of {} qubits' noise codes",
+            coded * 10 <= banked.len(),
+            "pruner derives noise codes for {coded} of {} banked qubits",
             banked.len()
         );
         assert!(live.live_count() * 10 <= plan.sites, "most sites are dead");
@@ -2920,6 +2887,73 @@ mod tests {
                 .unwrap();
             assert_eq!(serial, got, "{workers} workers");
         }
+    }
+
+    /// Random bank tables over the full code range: thresholds of
+    /// every magnitude, exact zeros, and a cluster just above 2⁻⁹ whose
+    /// top byte is zero (the lanes a transposed block leaves to the
+    /// per-lane tail).
+    fn random_table(seed: u64) -> Vec<u64> {
+        (0..3 * LATTICE_STEPS as u64)
+            .map(|c| {
+                let h = crate::plan::mix64(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                match h % 4 {
+                    0 => h >> (h % 64),
+                    1 => 0,
+                    2 => (1 << 55) | (h >> 10),
+                    _ => h,
+                }
+            })
+            .collect()
+    }
+
+    fn random_codes(seed: u64) -> Vec<u8> {
+        (0..LANES as u64)
+            .map(|j| (crate::plan::mix64(seed ^ j) % (3 * LATTICE_STEPS as u64)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn transposed_thresholds_match_a_per_lane_build() {
+        for seed in 0..200u64 {
+            let table = random_table(seed);
+            let codes = random_codes(seed.wrapping_mul(31) + 7);
+            let mut naive = [0u64; LADDER_BLOCK as usize];
+            for (j, &c) in codes.iter().enumerate() {
+                for (k, word) in naive.iter_mut().enumerate() {
+                    *word |= (table[c as usize] >> (63 - k) & 1) << j;
+                }
+            }
+            assert_eq!(transposed_thresholds(&table, &codes), naive, "seed {seed}");
+        }
+    }
+
+    /// Bit `j` of a bank flush's mask is the serial engine's single-lane
+    /// ladder on lane `j`'s own threshold, including the lanes only the
+    /// per-lane tail decides.
+    #[test]
+    fn bank_mask_matches_per_lane_ladders() {
+        let mut tail_fired = 0;
+        for seed in 0..300u64 {
+            let codes = random_codes(seed ^ 0xABCD);
+            let base = crate::plan::plane_base(seed, 3, 11);
+            // The mixed table, and the same table shifted below 2⁵⁶
+            // (the transpose-free path).
+            let mixed = random_table(seed);
+            let small: Vec<u64> = mixed.iter().map(|&t| t >> 8).collect();
+            for table in [mixed, small] {
+                let top_zero = table.iter().all(|&t| t >> 56 == 0);
+                let mask = bank_mask(base, &table, &codes, top_zero);
+                for (j, &c) in codes.iter().enumerate() {
+                    let t = table[c as usize];
+                    let want = crate::plan::lt_lane(base, j as u32, t);
+                    assert_eq!(mask >> j & 1 == 1, want, "seed {seed} lane {j} t {t:#x}");
+                    let top_block = (0..LADDER_BLOCK).all(|k| plane(base, k) >> j & 1 == 0);
+                    tail_fired += usize::from(want && t >> 56 == 0 && top_block);
+                }
+            }
+        }
+        assert!(tail_fired > 0, "some lanes fire only in the tail");
     }
 
     /// The final flush of a qubit read under a Z letter: its bank and

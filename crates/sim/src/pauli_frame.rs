@@ -939,7 +939,7 @@ impl FramePlan {
     /// bits of the same bit-planes the batch engine compares 64 lanes
     /// at a time; per-lane-threshold draws (`FLUSH_Z`) walk the same
     /// ladder with this lane's own `bern_theta` threshold, which the
-    /// batch engine evaluates code-group by code-group.
+    /// batch engine reads per lane from the lane's noise code.
     fn shot_v2(
         &self,
         sim: &Simulator,
@@ -1001,8 +1001,9 @@ impl FramePlan {
                 // Per-lane threshold over shared planes: the rate (and
                 // hence θ) varies by lane, but the ladder compares
                 // each lane's bit of the *same* site planes against
-                // its own threshold — the batch engine groups lanes by
-                // noise code and walks the identical ladder word-wide.
+                // its own threshold — the batch engine transposes the
+                // lanes' thresholds and walks the identical ladder
+                // word-wide.
                 // `bern_theta` folds in the |θ| dead-zone.
                 let t = bern_theta(theta);
                 if t > 0 && lt!(site::id(site::FLUSH_Z, $op, q), t) {

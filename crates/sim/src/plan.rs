@@ -385,26 +385,42 @@ pub fn damping_thresholds(gamma: f64) -> [u64; 3] {
     ]
 }
 
+/// Planes per block of the word ladders: [`lt_mask`] and [`lt_masks`]
+/// evaluate planes branch-free in blocks of this many and test for an
+/// exit only between blocks.
+pub const LADDER_BLOCK: u32 = 8;
+
+/// One MSB-first ladder step over plane `p` against threshold bit
+/// `tk` (all-ones or all-zeros): undecided lanes whose plane bit is
+/// below the threshold bit join `result`, and every lane whose plane
+/// bit differs from the threshold bit is decided.
+#[inline(always)]
+pub(crate) fn ladder_step(result: &mut u64, undecided: &mut u64, tk: u64, p: u64) {
+    *result |= *undecided & tk & !p;
+    *undecided &= !(tk ^ p);
+}
+
 /// Lanes (bitmask) whose uniform draw at this site is `< t`, computed
-/// from MSB-first bit-planes with early exit: once every remaining
-/// threshold bit is 0, undecided lanes can no longer be below `t`.
-/// Expected planes consumed ≈ 8 for a generic threshold, 1 for
-/// dyadic `p = 1/2`.
+/// from MSB-first bit-planes in branch-free blocks of
+/// [`LADDER_BLOCK`] planes. A block is skipped (the ladder exits) once
+/// every lane is decided or every remaining threshold bit is 0. The
+/// block rule is exact: past either point a further step adds no lane
+/// to the result (decided lanes never change, and a zero threshold
+/// bit only decides lanes as *not* below), and planes are pure
+/// functions of `k`, so hashing planes past the sequential exit point
+/// moves no other draw. A generic threshold decides all 64 lanes
+/// within one or two blocks.
 #[inline]
 pub fn lt_mask(base: u64, t: u64) -> u64 {
     let mut result = 0u64;
     let mut undecided = u64::MAX;
-    for k in 0..64 {
-        if undecided == 0 || t << k == 0 {
-            break;
+    let mut k0 = 0u32;
+    while k0 < 64 && undecided != 0 && t << k0 != 0 {
+        for k in k0..k0 + LADDER_BLOCK {
+            let tk = (t >> (63 - k) & 1).wrapping_neg();
+            ladder_step(&mut result, &mut undecided, tk, plane(base, k));
         }
-        let p = plane(base, k);
-        if t >> (63 - k) & 1 == 1 {
-            result |= undecided & !p;
-            undecided &= p;
-        } else {
-            undecided &= !p;
-        }
+        k0 += LADDER_BLOCK;
     }
     result
 }
@@ -412,40 +428,26 @@ pub fn lt_mask(base: u64, t: u64) -> u64 {
 /// [`lt_mask`] for several thresholds over one shared uniform,
 /// hashing each bit-plane at most once (the amplitude-damping twirl
 /// compares its three thresholds against a single draw). Entry `i`
-/// equals `lt_mask(base, ts[i])` bit for bit: each ladder freezes
-/// exactly where its standalone run would have exited, and planes are
-/// pure functions of `k`, so sharing them cannot perturb any ladder.
+/// equals `lt_mask(base, ts[i])` bit for bit: every ladder steps
+/// through each block branch-free, and a ladder that [`lt_mask`]
+/// would already have left is unchanged by further steps (the same
+/// block rule), so the shared walk only ends once every ladder is
+/// done.
 #[inline]
 pub fn lt_masks<const N: usize>(base: u64, ts: [u64; N]) -> [u64; N] {
     let mut result = [0u64; N];
     let mut undecided = [u64::MAX; N];
-    // Ladders still running, as an index bitmask. An index leaves for
-    // good once its lanes are all decided or its remaining threshold
-    // bits are zero — both conditions are monotone in `k`, so dropping
-    // it permanently matches the per-`k` skip bit for bit.
-    let mut live: u32 = (1 << N) - 1;
-    let mut k = 0u32;
-    while live != 0 && k < 64 {
-        let p = plane(base, k);
-        let mut rem = live;
-        while rem != 0 {
-            let i = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            if ts[i] << k == 0 {
-                live &= !(1 << i);
-                continue;
-            }
-            if ts[i] >> (63 - k) & 1 == 1 {
-                result[i] |= undecided[i] & !p;
-                undecided[i] &= p;
-            } else {
-                undecided[i] &= !p;
-            }
-            if undecided[i] == 0 {
-                live &= !(1 << i);
+    let mut k0 = 0u32;
+    while k0 < 64 && (0..N).any(|i| undecided[i] != 0 && ts[i] << k0 != 0) {
+        let planes: [u64; LADDER_BLOCK as usize] =
+            std::array::from_fn(|d| plane(base, k0 + d as u32));
+        for i in 0..N {
+            for (d, &p) in planes.iter().enumerate() {
+                let tk = (ts[i] >> (63 - k0 - d as u32) & 1).wrapping_neg();
+                ladder_step(&mut result[i], &mut undecided[i], tk, p);
             }
         }
-        k += 1;
+        k0 += LADDER_BLOCK;
     }
     result
 }

@@ -41,6 +41,39 @@ impl RunResult {
         }
     }
 
+    /// Builds a result from per-strip shot keys — the frame-batch
+    /// engine's counts reduction. Each strip's keys arrive sorted by
+    /// the worker that sampled the strip; the strips are concatenated
+    /// and sorted once, and one run-length pass over the sorted keys
+    /// feeds a bulk `BTreeMap` build (sorted input builds in linear
+    /// time, with no per-key tree search). Equal to folding every key
+    /// into a `BTreeMap` one at a time, for any split of the same keys
+    /// into strips and any strip order.
+    pub fn from_strip_keys(
+        shots: usize,
+        num_clbits: usize,
+        strips: impl IntoIterator<Item = Vec<u64>>,
+    ) -> Self {
+        let mut keys: Vec<u64> = Vec::with_capacity(shots);
+        for strip in strips {
+            keys.extend_from_slice(&strip);
+        }
+        debug_assert_eq!(keys.len(), shots, "strip keys must cover every shot");
+        keys.sort_unstable();
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for &key in &keys {
+            match runs.last_mut() {
+                Some((last, count)) if *last == key => *count += 1,
+                _ => runs.push((key, 1)),
+            }
+        }
+        Self {
+            shots,
+            num_clbits,
+            counts: runs.into_iter().collect(),
+        }
+    }
+
     /// Probability of an exact outcome pattern.
     pub fn probability(&self, pattern: u64) -> f64 {
         *self.counts.get(&pattern).unwrap_or(&0) as f64 / self.shots as f64
@@ -189,6 +222,76 @@ mod tests {
         assert_eq!(fwd, rev);
         assert_eq!(fwd.counts[&0b01], 3);
         assert_eq!(fwd.shots, 10);
+    }
+
+    /// One fold per key into a `BTreeMap`: the reduction
+    /// [`RunResult::from_strip_keys`] must reproduce.
+    fn folded(shots: usize, num_clbits: usize, keys: &[u64]) -> RunResult {
+        let mut counts = BTreeMap::new();
+        for &key in keys {
+            *counts.entry(key).or_insert(0usize) += 1;
+        }
+        RunResult {
+            shots,
+            num_clbits,
+            counts,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Strips of 256 shots with a tail of 1..255 active lanes when
+        // the shot count is not a multiple of 256; key spaces from one
+        // key (a zero-clbit circuit) through heavy duplication to all
+        // distinct 32-bit keys.
+        #[test]
+        fn strip_keys_reduce_to_the_btreemap_fold(
+            shots in proptest::prop_oneof![
+                proptest::prelude::Just(1usize),
+                proptest::prelude::Just(255),
+                proptest::prelude::Just(256),
+                proptest::prelude::Just(257),
+                proptest::prelude::Just(4096),
+                1..3000usize,
+            ],
+            num_clbits in proptest::prop_oneof![
+                proptest::prelude::Just(0usize),
+                proptest::prelude::Just(2),
+                proptest::prelude::Just(5),
+                proptest::prelude::Just(32),
+            ],
+            seed in 0..u64::MAX,
+        ) {
+            let keys: Vec<u64> = (0..shots as u64)
+                .map(|i| crate::plan::mix64(seed ^ i) & ((1u64 << num_clbits) - 1))
+                .collect();
+            let want = folded(shots, num_clbits, &keys);
+            let strips: Vec<Vec<u64>> = keys
+                .chunks(256)
+                .map(|strip| {
+                    let mut strip = strip.to_vec();
+                    strip.sort_unstable();
+                    strip
+                })
+                .collect();
+            let got = RunResult::from_strip_keys(shots, num_clbits, strips.clone());
+            proptest::prop_assert_eq!(&got, &want);
+            let reversed = RunResult::from_strip_keys(shots, num_clbits, strips.into_iter().rev());
+            proptest::prop_assert_eq!(&reversed, &want);
+        }
+    }
+
+    #[test]
+    fn strip_keys_reduce_all_distinct_and_all_equal_keys() {
+        let distinct: Vec<u64> = (0..1000u64).map(|i| i * 7919).collect();
+        let strips = distinct.chunks(256).map(<[u64]>::to_vec);
+        let got = RunResult::from_strip_keys(1000, 32, strips);
+        assert_eq!(got, folded(1000, 32, &distinct));
+        assert_eq!(got.counts.len(), 1000);
+        let zeros = vec![0u64; 700];
+        let got = RunResult::from_strip_keys(700, 0, zeros.chunks(256).map(<[u64]>::to_vec));
+        assert_eq!(got.counts, BTreeMap::from([(0u64, 700usize)]));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Qubit-sharded sampling support for the v2 strip runner.
 //!
 //! At Osprey/Condor widths (433/1121 qubits) a single strip's
-//! sampling pass — per-(qubit, word) noise-code grouping plus the
-//! per-op mask hashing — dominates wall clock, and with few strips in
+//! sampling pass — per-lane noise codes plus the per-op mask
+//! hashing — dominates wall clock, and with few strips in
 //! flight (low shot counts) strip-level fan-out alone cannot fill the
 //! worker pool. The v2 seed schedule makes a second axis available
 //! for free: every draw is a pure counter-based hash of
@@ -10,8 +10,8 @@
 //! qubit (flushes, gates, measures) or an edge id reachable only from
 //! its flush's owner. Sampling therefore partitions exactly by owner:
 //! worker threads own contiguous qubit shards of the lattice, each
-//! hashes only its own ops' masks (and its own qubits' noise-code
-//! groups) into a private buffer, and the buffers are merged
+//! hashes only its own ops' masks (and its own qubits' per-lane
+//! noise codes) into a private buffer, and the buffers are merged
 //! **deterministically in shard order** back into the exact linear
 //! layout the serial sampling pass would have produced. Propagation
 //! then replays the merged buffer unchanged, so sharded output is
@@ -20,8 +20,9 @@
 //!
 //! Both layouts are the *pruned* one: a run samples only the noise
 //! sites in its output cone (see `frame_batch::Liveness`), so a
-//! shard pushes words only for its live sites and groups lanes by
-//! noise code only for its qubits with a live bank flush. The merge
+//! shard pushes words only for its live sites and derives per-lane
+//! noise codes only for its qubits with a live bank flush (their
+//! rows are contiguous, so a shard allocates its own rows only). The merge
 //! schedule therefore copies each op's *live* word count, and a
 //! shard's initial-Z block holds its live qubits only. On a sparse
 //! layer most shards own idle lattice and finish almost at once.

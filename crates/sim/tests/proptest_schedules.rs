@@ -16,11 +16,15 @@
 //!   collisions over a large structured grid and avalanches on
 //!   single-bit input flips; the bit-plane threshold ladders
 //!   ([`lt_lane`], [`lt_masks`]) agree lane-for-lane with the
-//!   reference word ladder [`lt_mask`].
+//!   reference word ladder [`lt_mask`], and the block-evaluated word
+//!   ladders agree with the sequential one-plane-at-a-time ladder on
+//!   thresholds whose exits straddle block boundaries.
 
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{uniform_device, Device, Topology};
-use ca_sim::plan::{lt_lane, lt_mask, lt_masks, shot_site_seed, SeedSchedule};
+use ca_sim::plan::{
+    bern_theta, bern_threshold, lt_lane, lt_mask, lt_masks, plane, shot_site_seed, SeedSchedule,
+};
 use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
 use proptest::prelude::*;
 
@@ -208,4 +212,124 @@ fn shot_site_seed_avalanches_on_single_bit_flips() {
         (28.0..=36.0).contains(&mean),
         "avalanche mean {mean:.2} bits, expected ~32"
     );
+}
+
+/// The sequential word ladder the block ladders replaced, kept as
+/// their reference: one plane at a time, exiting as soon as every
+/// lane is decided or every remaining threshold bit is 0.
+fn sequential_lt_mask(base: u64, t: u64) -> u64 {
+    let mut result = 0u64;
+    let mut undecided = u64::MAX;
+    for k in 0..64 {
+        if undecided == 0 || t << k == 0 {
+            break;
+        }
+        let p = plane(base, k);
+        if t >> (63 - k) & 1 == 1 {
+            result |= undecided & !p;
+            undecided &= p;
+        } else {
+            undecided &= !p;
+        }
+    }
+    result
+}
+
+/// Thresholds whose sequential exits straddle the 8-plane block
+/// boundaries (7, 8, 9, 15, 16, 17 and 63 leading zeros, with and
+/// without low bits below the leading one), the edge values 0, 1,
+/// 2⁶³ and `u64::MAX`, and the Bernoulli thresholds of the noise
+/// rates the engines draw.
+fn ladder_thresholds() -> Vec<u64> {
+    let mut ts = vec![0, 1, 1 << 63, u64::MAX];
+    for lz in [7u32, 8, 9, 15, 16, 17, 63] {
+        let lead = 1u64 << (63 - lz);
+        ts.push(lead);
+        ts.push(lead | 0x5DEE_CE66_D1CE_5EED_u64.checked_shr(lz + 1).unwrap_or(0));
+        ts.push(lead | (lead - 1));
+    }
+    ts.extend([1e-4, 1e-3, 0.01, 0.5].map(bern_threshold));
+    ts
+}
+
+// The block-evaluated ladders must equal the sequential ladder bit
+// for bit: past the sequential exit a block step adds no lane, so
+// evaluating whole blocks of planes is exact.
+#[test]
+fn block_ladders_match_the_sequential_ladder() {
+    let ts = ladder_thresholds();
+    let bases: Vec<u64> = (0..24u64).map(|i| shot_site_seed(3, i, 17)).collect();
+    for &base in &bases {
+        for &t in &ts {
+            let reference = sequential_lt_mask(base, t);
+            assert_eq!(lt_mask(base, t), reference, "base {base:#x} t {t:#x}");
+            assert_eq!(lt_masks(base, [t])[0], reference, "N=1 t {t:#x}");
+        }
+        for &t0 in &ts {
+            for &t1 in &ts {
+                let pair = lt_masks(base, [t0, t1]);
+                assert_eq!(pair, [t0, t1].map(|t| sequential_lt_mask(base, t)));
+            }
+        }
+        for (i, &t0) in ts.iter().enumerate() {
+            for &t1 in &ts[i..] {
+                for &t2 in &ts[i..] {
+                    let ladders = [t0, t1, t2];
+                    assert_eq!(
+                        lt_masks(base, ladders),
+                        ladders.map(|t| sequential_lt_mask(base, t)),
+                        "base {base:#x} ts {ladders:#x?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A bank-threshold tail workload: every qubit banks a static `rz`
+/// between Hadamards, several rounds deep, then reads out in the
+/// X basis. Most angles put the bank threshold between 2⁻⁹ and 2⁻⁸:
+/// its top byte is zero, so a lane's first eight planes decide it only
+/// when one of them is set, and about one lane in 256 is left for its
+/// own threshold past the 8-plane block, where about half of them
+/// fire. Two larger angles keep non-zero top threshold bytes in the
+/// transposed block. Per-lane charge parity and quasi-static
+/// detuning spread the thresholds across noise codes.
+fn bank_tail_circuit(n: usize, angles: &[f64]) -> ScheduledCircuit {
+    let mut qc = Circuit::new(n, n);
+    for _ in 0..4 {
+        for q in 0..n {
+            qc.h(q).rz(angles[q % angles.len()], q);
+        }
+    }
+    for q in 0..n {
+        qc.h(q).measure(q, q);
+    }
+    schedule_asap(&qc, GateDurations::default())
+}
+
+/// Angles of [`bank_tail_circuit`]: four just above
+/// `sin²(θ/2) = 2⁻⁹` (θ ≈ 0.0884), two large.
+const TAIL_ANGLES: [f64; 6] = [0.0890, 0.0905, 1.2, 0.0897, 0.3, 0.0912];
+
+#[test]
+fn bank_tail_thresholds_stay_bit_identical_to_serial() {
+    for &theta in TAIL_ANGLES.iter().filter(|&&a| a < 0.1) {
+        assert_eq!(bern_theta(theta).leading_zeros(), 8, "θ = {theta}");
+    }
+    let n = 6;
+    let sim = sim_with(n, SeedSchedule::V2);
+    let sc = bank_tail_circuit(n, &TAIL_ANGLES);
+    for (shots, seed) in [(2048usize, 5u64), (777, 6)] {
+        let serial = StabilizerEngine::new(&sim)
+            .run_counts(&sc, shots, seed)
+            .unwrap();
+        let batch = BatchedFrameEngine::new(&sim);
+        for workers in [1usize, 2, 3] {
+            let got = batch
+                .run_counts_with_workers(&sc, shots, seed, Some(workers))
+                .unwrap();
+            assert_eq!(serial, got, "shots {shots} workers {workers}");
+        }
+    }
 }

@@ -213,3 +213,43 @@ fn pruned_sharded_expectations_and_flips_match_serial_at_433q() {
         assert_eq!(f, got, "flips at {workers} workers");
     }
 }
+
+// Bank thresholds just above 2⁻⁹ leave about one lane in 256
+// undecided after the transposed 8-plane block; those lanes finish on
+// their own thresholds. Sixteen driven qubits spread across the
+// lattice bank a static `rz` between Hadamards for four rounds (two
+// larger angles keep non-zero top threshold bytes), and the pruned,
+// sharded sampler must match the serial engine at every worker count.
+#[test]
+fn bank_threshold_tail_lanes_match_serial_at_433q_and_1121q() {
+    const ANGLES: [f64; 4] = [0.0890, 0.0905, 1.2, 0.0897];
+    for device in [presets::osprey_like(13), presets::condor_like(13)] {
+        let n = device.num_qubits();
+        let sim = wide_sim(device);
+        let actives: Vec<usize> = (0..16).map(|i| i * n / 16 + 5).collect();
+        let mut qc = Circuit::new(n, actives.len());
+        for _ in 0..4 {
+            for (i, &q) in actives.iter().enumerate() {
+                qc.h(q).rz(ANGLES[i % ANGLES.len()], q);
+            }
+        }
+        for (c, &q) in actives.iter().enumerate() {
+            qc.h(q).measure(q, c);
+        }
+        let sc = schedule_asap(&qc, GateDurations::default());
+        // 250 shots run one strip, sharded at 2 and 3 workers; 400
+        // run two unsharded strips, the second with 144 lanes.
+        for (shots, seed) in [(250usize, 9u64), (400, 10)] {
+            let serial = StabilizerEngine::new(&sim)
+                .run_counts(&sc, shots, seed)
+                .unwrap();
+            let batch = BatchedFrameEngine::new(&sim);
+            for workers in [1usize, 2, 3] {
+                let got = batch
+                    .run_counts_with_workers(&sc, shots, seed, Some(workers))
+                    .unwrap();
+                assert_eq!(serial, got, "{n}q shots {shots} workers {workers}");
+            }
+        }
+    }
+}
