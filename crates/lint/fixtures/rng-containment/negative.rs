@@ -1,6 +1,6 @@
 //! Linted as `crates/sim/src/noise.rs` (a sanctioned RNG module):
-//! draws that flow from `plan::shot_seed` through an engine shot loop
-//! are the sanctioned pattern.
+//! draws from a stream seeded by `plan::chunk_seed` in an engine shot
+//! loop are the sanctioned pattern.
 
 use rand::Rng;
 

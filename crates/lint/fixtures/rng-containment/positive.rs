@@ -1,5 +1,5 @@
 //! Linted as `crates/sim/src/fixture.rs` (NOT a sanctioned RNG
-//! module): stray RNG outside the `plan::shot_seed` discipline.
+//! module): stray RNG outside the seeded-stream discipline.
 
 use rand::Rng;
 

@@ -15,9 +15,11 @@ pub struct Config {
     pub clock_crates: Vec<&'static str>,
     /// The single module allowed to call `std::env::var*`.
     pub env_module: &'static str,
-    /// ca-sim modules sanctioned to draw RNG (each derives its
-    /// streams from `plan::shot_seed`, preserving serial-vs-batch
-    /// bit-identity).
+    /// ca-sim modules sanctioned to touch `rand`. Frame-engine draws
+    /// are pure hashes from `plan::shot_site_seed` and need no `rand`
+    /// at all; the dense engine's draws come from per-chunk streams
+    /// seeded by `plan::chunk_seed`, and the tableau's reference run
+    /// from one seeded stream.
     pub sim_rng_modules: Vec<&'static str>,
     /// Directories `lint_workspace` never descends into.
     pub skip_dirs: Vec<&'static str>,
@@ -39,7 +41,6 @@ impl Default for Config {
                 "crates/sim/src/noise.rs",
                 "crates/sim/src/plan.rs",
                 "crates/sim/src/pauli_frame.rs",
-                "crates/sim/src/frame_batch.rs",
                 "crates/sim/src/stabilizer.rs",
                 "crates/sim/src/statevector.rs",
                 "crates/sim/src/executor.rs",

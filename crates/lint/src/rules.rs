@@ -15,8 +15,8 @@
 //! | `thread-id`       | no `thread::current()`/`ThreadId`-derived logic        |
 //! | `obs-no-rng`      | no `rand` anywhere in `ca-obs` (instrumentation must   |
 //! |                   | never perturb or read randomness)                      |
-//! | `rng-containment` | `rand` in `ca-sim` only in sanctioned modules that     |
-//! |                   | follow the `plan::shot_seed` discipline                |
+//! | `rng-containment` | `rand` in `ca-sim` only in sanctioned modules          |
+//! |                   | (`plan::shot_site_seed` / `plan::chunk_seed` seeding)  |
 //! | `forbid-unsafe`   | every non-shim crate root carries                      |
 //! |                   | `#![forbid(unsafe_code)]`                              |
 
@@ -459,9 +459,10 @@ fn rng_containment_rule(
             ctx,
             line,
             "rng-containment",
-            "`rand` referenced outside ca-sim's sanctioned RNG modules — every draw \
-             must flow from `plan::shot_seed` through an engine's shot loop; route \
-             randomness through an existing sanctioned module or waive with \
+            "`rand` referenced outside ca-sim's sanctioned RNG modules — frame-engine \
+             draws must be pure hashes from `plan::shot_site_seed`, dense draws must \
+             come from `plan::chunk_seed` streams; route randomness through an \
+             existing sanctioned module or waive with \
              `// ca-lint: allow(rng-containment) -- <reason>`"
                 .to_string(),
         );

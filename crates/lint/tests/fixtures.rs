@@ -112,7 +112,7 @@ fn rng_containment_rule_fixtures() {
         pos.render()
     );
     // The identical source in a sanctioned module is the blessed
-    // `plan::shot_seed` pattern.
+    // seeded-stream pattern.
     let neg = lint_fixture("rng-containment", "negative", "crates/sim/src/noise.rs");
     assert!(neg.is_clean(), "{}", neg.render());
 

@@ -4,7 +4,7 @@
 //! submitter (a server connection, a test, a batch coordinator) and
 //! the executor running the job. The executor never preempts: it
 //! polls [`CancelToken::check`] at coarse work boundaries — dense
-//! shot chunks ([`crate::plan::map_shots`]), per-shot stabilizer
+//! shot chunks ([`crate::plan::map_shots`]), serial stabilizer shot
 //! chunks ([`crate::plan::map_shots_indexed`]), and frame-batch
 //! strips ([`crate::frame_batch`]) — so a cancelled or expired job
 //! stops within one chunk's worth of work and frees its worker

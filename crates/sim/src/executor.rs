@@ -15,7 +15,7 @@ use crate::noise::{
     amplitude_damping_kraus, damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise,
 };
 use crate::obs_util::{time_engine_phase, PhaseTimer};
-use crate::plan::{map_shots, seed_schedule_from_env, ExecutionPlan, PlanOp, SeedSchedule};
+use crate::plan::{map_shots, seed_schedule_from_env, ExecutionPlan, PlanOp};
 use crate::result::RunResult;
 use crate::statevector::State;
 use ca_circuit::pauli::PauliString;
@@ -34,47 +34,29 @@ pub struct Simulator {
     pub config: NoiseConfig,
     /// Backend selection (defaults to [`Engine::Auto`]).
     pub engine: Engine,
-    /// Per-shot noise-draw schedule for the frame engines (defaults
-    /// to the `CA_SIM_SEED_SCHEDULE` environment variable, then v2).
-    pub schedule: SeedSchedule,
 }
 
 impl Simulator {
     /// Creates a simulator with the full noise model.
     pub fn new(device: Device) -> Self {
-        Self {
-            device,
-            config: NoiseConfig::default(),
-            engine: Engine::Auto,
-            schedule: seed_schedule_from_env(),
-        }
+        Self::with_engine(device, NoiseConfig::default(), Engine::Auto)
     }
 
     /// Creates a simulator with an explicit noise configuration.
     pub fn with_config(device: Device, config: NoiseConfig) -> Self {
-        Self {
-            device,
-            config,
-            engine: Engine::Auto,
-            schedule: seed_schedule_from_env(),
-        }
+        Self::with_engine(device, config, Engine::Auto)
     }
 
     /// Creates a simulator pinned to a specific engine.
     pub fn with_engine(device: Device, config: NoiseConfig, engine: Engine) -> Self {
+        // There is one seed schedule; reading the variable only warns
+        // (once) about a stale `CA_SIM_SEED_SCHEDULE` value.
+        seed_schedule_from_env();
         Self {
             device,
             config,
             engine,
-            schedule: seed_schedule_from_env(),
         }
-    }
-
-    /// Pins the seed schedule explicitly, overriding the environment
-    /// default — the race-free way for tests to compare schedules.
-    pub fn with_seed_schedule(mut self, schedule: SeedSchedule) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     fn plan(&self, sc: &ScheduledCircuit) -> Result<ExecutionPlan, SimError> {

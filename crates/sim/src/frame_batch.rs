@@ -16,32 +16,37 @@
 //! ([`Symp1`]: 2×2, [`Symp2`]: 4×4) applied word-wise — exactly the
 //! same frame update the serial engine performs one shot at a time.
 //!
-//! Noise needs per-shot randomness, and here the two serial-path
+//! Noise needs per-shot randomness, and here two serial-path
 //! invariants pay off:
 //!
-//! * shot `i`'s RNG is seeded by [`crate::plan::shot_seed`]`(seed, i)`
-//!   alone, so lane `j` of batch `b` re-creates the identical stream
-//!   the serial engine uses for shot `64·b + j`;
+//! * every noise draw is a pure hash of `(seed, shot, site)`
+//!   ([`crate::plan::shot_site_seed`]), where the site names the
+//!   draw's structural location (noise class, plan-op index,
+//!   qubit/edge — [`crate::plan::site`]). A uniform draw is read
+//!   MSB-first as bit-planes ([`crate::plan::plane`]), each a hash of
+//!   `(seed, 64-shot word, site, k)` whose bit `j` belongs to lane
+//!   `j`. The serial engine reads its one lane bit from the same
+//!   planes ([`crate::plan::lt_lane`]), so lane `j` of word `w`
+//!   makes exactly the decisions shot `64·w + j` makes, whatever
+//!   order either engine evaluates them in;
 //! * the pending Z/ZZ banks are RNG-*independent* (the stochastic
 //!   rate multiplies the signed time only at flush), so the entire
 //!   bank evolution is precomputed **once per circuit** into a
 //!   linear, seed-free [`BatchOp`] program (a seed only picks the
-//!   reference bits a run compares against). At run time a batch
-//!   walks that program and makes, per lane, exactly the draws the
-//!   serial sampler makes per shot, in the same order — Bernoulli
-//!   masks are assembled one lane bit at a time and applied to the
-//!   planes word-wise.
+//!   reference bits a run compares against). At run time a strip
+//!   hashes every op's noise masks 64 lanes per word and then
+//!   applies them to the planes word-wise.
 //!
 //! The result: classical counts are bit-for-bit equal to
 //! [`crate::StabilizerEngine`] for any seed, any shot count (tail
-//! batches simply run fewer lanes), and any worker-thread count
-//! (batches are independent; expectation sums are reduced in batch
+//! strips simply run fewer lanes), and any worker-thread count
+//! (strips are independent; expectation sums are reduced in strip
 //! order, and each shot contributes an integer ±1, so even the f64
 //! accumulations are exact).
 //!
-//! ## Output-cone pruning (v2)
+//! ## Output-cone pruning
 //!
-//! A v2 run samples only what its outputs can see. Before the strips
+//! A run samples only what its outputs can see. Before the strips
 //! run, [`BatchPlan::liveness`] walks the program backwards from the
 //! outputs — the measured clbits for counts, the observable supports
 //! for expectations and flips — and marks a noise site live only when
@@ -49,15 +54,15 @@
 //! sampling pass hashes live sites only (and derives a qubit's
 //! per-lane noise codes only when one of its bank flushes is live);
 //! the propagation pass reads live words only. A dead site's mask
-//! would have landed on frame planes no output reads, and every v2
+//! would have landed on frame planes no output reads, and every
 //! draw is a pure hash of `(seed, shot, site)`, so skipping it moves
 //! no other draw: pruned output is bit-identical to the unpruned
 //! serial engine. On a sparse layer of a wide device the idle lattice
 //! is dead, and sampling cost follows the driven qubits rather than
-//! the device width. Feed-forward programs and the v1 schedule, whose
-//! draws are positional, are not pruned.
+//! the device width. Feed-forward programs, whose lanes read clbits
+//! mid-program, are not pruned.
 //!
-//! ## Block ladders and per-lane bank thresholds (v2)
+//! ## Block ladders and per-lane bank thresholds
 //!
 //! A Bernoulli draw compares each lane's uniform, read MSB-first one
 //! bit-plane at a time, against a threshold ([`lt_mask`]). The word
@@ -81,34 +86,31 @@
 use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::insert::InsertionSet;
-use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
+use crate::noise::{damping_prob, dephasing_prob, t_phi_us};
 use crate::pauli_frame::{FramePlan, ItemOp, RefBits};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, ladder_step, lattice_idx,
-    lattice_value, lt_mask, lt_masks, map_batches, pick, plane, shot_key, shot_seed, site,
-    site_draw, worker_count, PlanOp, SeedSchedule, LADDER_BLOCK, LATTICE_STEPS,
+    lattice_value, lt_mask, lt_masks, map_batches, pick, plane, shot_key, site, site_draw,
+    worker_count, PlanOp, LADDER_BLOCK, LATTICE_STEPS,
 };
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::{pauli_to_bits, Tableau};
 use ca_circuit::clifford::Table2Q;
 use ca_circuit::pauli::{Pauli, PauliString};
 use ca_circuit::{Gate, ScheduledCircuit};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Shot-lanes per batch word.
 pub const LANES: usize = 64;
 
-/// Words per cache-blocked strip of the v2 runner: the schedule-v2
-/// path walks the program once per `[u64; 4]` strip (256 shot-lanes),
-/// quartering the per-op walk overhead relative to single-word
-/// batches while the working set (four planes per touched qubit)
-/// stays cache-resident.
+/// Words per cache-blocked strip: the runner walks the program once
+/// per `[u64; 4]` strip (256 shot-lanes), quartering the per-op walk
+/// overhead relative to single-word batches while the working set
+/// (four planes per touched qubit) stays cache-resident.
 pub const STRIP_WORDS: usize = 4;
 
-/// Shots per v2 strip.
+/// Shots per strip.
 pub const STRIP_SHOTS: usize = STRIP_WORDS * LANES;
 
 /// The GF(2) symplectic action of a 1q Clifford on one qubit's
@@ -236,36 +238,30 @@ impl Symp2 {
 struct FlushEdge {
     a: usize,
     b: usize,
-    /// Plan edge index — the v2 site unit (`FLUSH_ZZ` draws are
+    /// Plan edge index — the site unit (`FLUSH_ZZ` draws are
     /// addressed per edge, not per qubit).
     e: usize,
-    /// `sin²(θ/2)`, consumed by the legacy per-lane draw.
-    p: f64,
-    /// `bern_theta(θ)` — the v2 ladder threshold for the same draw.
+    /// `bern_theta(θ)` — the ladder threshold of the edge's draw.
     t: u64,
 }
 
 /// One step of the precompiled batch program. The sequence of ops —
 /// and the draws each op makes per lane — mirrors the serial
-/// sampler's per-shot control flow exactly. Under seed-schedule v1
-/// that means the *stream positions* line up; under v2 each op
-/// instead carries its plan-op index `op`, which addresses the
-/// counter-based draws by structural site so the walk order stops
-/// mattering altogether.
+/// sampler's per-shot control flow exactly. Each op carries its
+/// plan-op index `op`, which addresses the counter-based draws by
+/// structural site, so the walk order does not matter.
 enum BatchOp {
     /// A twirl-flush point for qubit `q`.
     Flush {
         q: usize,
-        /// Plan-op index of this flush (v2 site addressing). The
-        /// final end-of-circuit flushes use `plan.ops.len()`.
+        /// Plan-op index of this flush (site addressing). The final
+        /// end-of-circuit flushes use `plan.ops.len()`.
         op: usize,
-        /// Deterministic bank phase and signed time at this flush;
-        /// absent when both are exactly zero (no draw on any lane,
-        /// matching the serial `|θ| > ε` gate).
-        bank: Option<(f64, f64)>,
-        /// v2 bank thresholds by per-lane noise code
+        /// Bank thresholds by per-lane noise code
         /// (`slot · 33 + lattice index`, see [`BatchPlan::bank_table`]);
-        /// present exactly when `bank` is.
+        /// absent when the deterministic bank phase and signed time
+        /// are both exactly zero (no draw on any lane, matching the
+        /// serial `|θ| > ε` gate).
         table: Option<Arc<[u64]>>,
         /// Every threshold in `table` is below 2⁵⁶: the top bytes the
         /// sampling pass would transpose are all zero, so it skips
@@ -336,7 +332,7 @@ enum BatchOp {
 }
 
 impl BatchOp {
-    /// The qubit whose v2 sites key every draw this op makes — the
+    /// The qubit whose sites key every draw this op makes — the
     /// shard owning this qubit samples this op (see [`crate::shard`]).
     /// A 2q gate's hit/selector sites address its first qubit only;
     /// flush edge draws are keyed by plan edge id, and each edge id is
@@ -391,7 +387,7 @@ impl BatchOp {
     }
 }
 
-/// The outputs a v2 run reads, which seed the output-cone pruner.
+/// The outputs a run reads, which seed the output-cone pruner.
 pub(crate) enum Outputs<'a> {
     /// Classical counts: every clbit below [`LANES`] (the packed key).
     Clbits,
@@ -408,7 +404,7 @@ pub(crate) enum Outputs<'a> {
 /// [`BatchPlan::site_base`]`[i]`. A dead site is neither hashed by the
 /// sampling pass nor read by the propagation pass: its mask would
 /// only reach frame planes no output reads. No other site's draw
-/// moves, because every v2 draw is a pure hash of `(seed, shot, site)`.
+/// moves, because every draw is a pure hash of `(seed, shot, site)`.
 pub(crate) struct Liveness {
     site: Vec<bool>,
     /// Per qubit: its row in the sampling pass's per-lane noise-code
@@ -447,11 +443,6 @@ pub struct BatchPlan {
     pub(crate) frame: FramePlan,
     ops: Vec<BatchOp>,
     n: usize,
-    /// Words of the *serial* frame layout (`ceil(n/64)`): the initial
-    /// Z randomization must consume exactly this many `u64` draws per
-    /// lane to stay stream-compatible with the serial engine (v1
-    /// schedule only — v2 draws are position-free).
-    serial_words: usize,
     /// Per op: index of its first noise site (see [`Liveness`]).
     site_base: Vec<usize>,
     /// Noise sites in the whole program, initial-Z sites included.
@@ -461,13 +452,13 @@ pub struct BatchPlan {
     feed_forward: bool,
 }
 
-/// v2 bank-flush thresholds for every per-lane noise code: code
+/// Bank-flush thresholds for every per-lane noise code: code
 /// `slot · LATTICE_STEPS + idx` holds
 /// `bern_theta(stat + phase_rad(sign · δ + lattice(idx) · σ, time))`
 /// with `sign = [0, +1, −1][slot]` — the exact f64 expression the
-/// serial sampler evaluates from [`ShotNoise::sample_v2`] +
-/// [`ShotNoise::z_rate_khz`], so both engines compare identical hash
-/// words against identical thresholds. `cp`/`qk` are the *gated*
+/// serial sampler evaluates from [`crate::noise::ShotNoise::sample_v2`]
+/// and [`crate::noise::ShotNoise::z_rate_khz`], so both engines
+/// compare identical hash words against identical thresholds. `cp`/`qk` are the *gated*
 /// per-qubit rates (0.0 when the channel is off), mirroring the
 /// sampler's gating bit for bit.
 fn bank_table(stat: f64, time: f64, cp: f64, qk: f64) -> Arc<[u64]> {
@@ -662,7 +653,6 @@ impl BatchPlan {
                         a,
                         b,
                         e,
-                        p: (th / 2.0).sin().powi(2),
                         t: bern_theta(th),
                     });
                 }
@@ -677,11 +667,10 @@ impl BatchPlan {
             } else {
                 None
             };
-            if bank.is_some() || !edges.is_empty() || deco.is_some() {
+            if table.is_some() || !edges.is_empty() || deco.is_some() {
                 ops.push(BatchOp::Flush {
                     q,
                     op: op_i,
-                    bank,
                     table,
                     top_zero,
                     edges,
@@ -938,7 +927,6 @@ impl BatchPlan {
         }
         let feed_forward = ops.iter().any(|op| matches!(op, BatchOp::CondGate { .. }));
         Self {
-            serial_words: frame.words,
             frame,
             ops,
             n,
@@ -1090,7 +1078,7 @@ impl BatchPlan {
         }
     }
 
-    /// [`Self::liveness`] for one v2 run, counted into the
+    /// [`Self::liveness`] for one run, counted into the
     /// `engine.sites_live` / `engine.sites_pruned` observability
     /// counters (once per run, in program sites). The counters read
     /// only the mask, never the RNG.
@@ -1104,297 +1092,7 @@ impl BatchPlan {
         live
     }
 
-    /// Runs one batch of `active ≤ 64` shot-lanes starting at global
-    /// shot index `base`, applying any per-shot Pauli insertions in
-    /// `ins`. Returns the final bit-planes and the per-lane classical
-    /// keys.
-    fn run_batch(
-        &self,
-        sim: &Simulator,
-        reference: &RefBits,
-        seed: u64,
-        base: usize,
-        active: usize,
-        ins: &InsertionSet,
-    ) -> BatchOut {
-        let n = self.n;
-        // Phase attribution (sampling vs propagation) reads only the
-        // clock and is inert when observability is off — the RNG
-        // streams and frame state are untouched at every CA_OBS level.
-        let mut phase = crate::obs_util::PhaseTimer::start();
-        let mut fx = vec![0u64; n];
-        let mut fz = vec![0u64; n];
-        // Per-lane stochastic Z rates, laid out `[q][lane]` so flush
-        // events read contiguously.
-        let mut rates = vec![0.0f64; n * LANES];
-        let mut keys = [0u64; LANES];
-
-        // Per-lane RNG streams: identical to serial shots base+j.
-        let mut rngs: Vec<StdRng> = (0..active)
-            .map(|j| StdRng::seed_from_u64(shot_seed(seed, base + j)))
-            .collect();
-
-        // Shot-start draws, in serial order per lane: stochastic-rate
-        // sample, then initial Z-frame randomization.
-        for (j, rng) in rngs.iter_mut().enumerate() {
-            let shot = ShotNoise::sample(&sim.device, &sim.config, rng);
-            for q in 0..n {
-                rates[q * LANES + j] = shot.z_rate_khz(&sim.device, q);
-            }
-            let bit = 1u64 << j;
-            for w in 0..self.serial_words {
-                let bits_here = (n - w * 64).min(64);
-                let mask = if bits_here == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits_here) - 1
-                };
-                let r = rng.random::<u64>() & mask;
-                for q in w * 64..w * 64 + bits_here {
-                    if r >> (q % 64) & 1 == 1 {
-                        fz[q] |= bit;
-                    }
-                }
-            }
-        }
-        phase.tick_sampling();
-
-        for op in &self.ops {
-            match op {
-                BatchOp::Flush {
-                    q,
-                    bank,
-                    edges,
-                    deco,
-                    ..
-                } => {
-                    let q = *q;
-                    if let Some((stat, time)) = bank {
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            let theta = stat + ca_device::phase_rad(rates[q * LANES + j], *time);
-                            if theta.abs() > 1e-15
-                                && rng.random::<f64>() < (theta / 2.0).sin().powi(2)
-                            {
-                                zm |= 1 << j;
-                            }
-                        }
-                        fz[q] ^= zm;
-                    }
-                    for &FlushEdge { a, b, p, .. } in edges {
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < p {
-                                zm |= 1 << j;
-                            }
-                        }
-                        fz[a] ^= zm;
-                        fz[b] ^= zm;
-                    }
-                    if let Some((gamma, p_z)) = deco {
-                        if *gamma > 0.0 {
-                            let mut xm = 0u64;
-                            let mut zm = 0u64;
-                            for (j, rng) in rngs.iter_mut().enumerate() {
-                                let r: f64 = rng.random();
-                                if r < gamma / 4.0 {
-                                    xm |= 1 << j;
-                                } else if r < gamma / 2.0 {
-                                    xm |= 1 << j;
-                                    zm |= 1 << j;
-                                } else if r < 3.0 * gamma / 4.0 {
-                                    zm |= 1 << j;
-                                }
-                            }
-                            fx[q] ^= xm;
-                            fz[q] ^= zm;
-                        }
-                        if *p_z > 0.0 {
-                            let mut zm = 0u64;
-                            for (j, rng) in rngs.iter_mut().enumerate() {
-                                if rng.random::<f64>() < *p_z {
-                                    zm |= 1 << j;
-                                }
-                            }
-                            fz[q] ^= zm;
-                        }
-                    }
-                    phase.tick_sampling();
-                }
-                BatchOp::Gate1 { q, m, err_p, .. } => {
-                    let q = *q;
-                    let (nx, nz) = m.apply(fx[q], fz[q]);
-                    fx[q] = nx;
-                    fz[q] = nz;
-                    phase.tick_propagation();
-                    if *err_p > 0.0 {
-                        let mut xm = 0u64;
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < *err_p {
-                                let k = rng.random_range(0..3usize);
-                                let (x, z) = pauli_to_bits([Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                if x {
-                                    xm |= 1 << j;
-                                }
-                                if z {
-                                    zm |= 1 << j;
-                                }
-                            }
-                        }
-                        fx[q] ^= xm;
-                        fz[q] ^= zm;
-                        phase.tick_sampling();
-                    }
-                }
-                BatchOp::Gate2 { a, b, m, err_p, .. } => {
-                    let (a, b) = (*a, *b);
-                    let out = m.apply([fx[a], fz[a], fx[b], fz[b]]);
-                    fx[a] = out[0];
-                    fz[a] = out[1];
-                    fx[b] = out[2];
-                    fz[b] = out[3];
-                    phase.tick_propagation();
-                    if *err_p > 0.0 {
-                        let mut xa = 0u64;
-                        let mut za = 0u64;
-                        let mut xb = 0u64;
-                        let mut zb = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < *err_p {
-                                let k = rng.random_range(1..16usize);
-                                let (x1, z1) = pauli_to_bits(Pauli::from_index(k % 4));
-                                let (x2, z2) = pauli_to_bits(Pauli::from_index(k / 4));
-                                let bit = 1u64 << j;
-                                if x1 {
-                                    xa |= bit;
-                                }
-                                if z1 {
-                                    za |= bit;
-                                }
-                                if x2 {
-                                    xb |= bit;
-                                }
-                                if z2 {
-                                    zb |= bit;
-                                }
-                            }
-                        }
-                        fx[a] ^= xa;
-                        fz[a] ^= za;
-                        fx[b] ^= xb;
-                        fz[b] ^= zb;
-                        phase.tick_sampling();
-                    }
-                }
-                BatchOp::Measure {
-                    q,
-                    meas,
-                    clbit,
-                    readout,
-                    ..
-                } => {
-                    let q = *q;
-                    let reference = reference.outcomes[*meas];
-                    let mut new_z = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let bit = 1u64 << j;
-                        let mut outcome = reference ^ (fx[q] & bit != 0);
-                        if let Some(p) = readout {
-                            if rng.random::<f64>() < *p {
-                                outcome = !outcome;
-                            }
-                        }
-                        if let Some(c) = clbit {
-                            if *c < 64 {
-                                if outcome {
-                                    keys[j] |= 1 << c;
-                                } else {
-                                    keys[j] &= !(1 << c);
-                                }
-                            }
-                        }
-                        if rng.random::<bool>() {
-                            new_z |= bit;
-                        }
-                    }
-                    fz[q] = new_z;
-                    phase.tick_sampling();
-                }
-                BatchOp::Reset { q, .. } => {
-                    let q = *q;
-                    let mut new_z = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        if rng.random::<bool>() {
-                            new_z |= 1 << j;
-                        }
-                    }
-                    fx[q] = 0;
-                    fz[q] = new_z;
-                    phase.tick_sampling();
-                }
-                BatchOp::CondGate {
-                    q,
-                    x,
-                    z,
-                    clbit,
-                    value,
-                    cond,
-                    err_p,
-                    ..
-                } => {
-                    let q = *q;
-                    let ref_fired = reference.fired[*cond];
-                    let mut xm = 0u64;
-                    let mut zm = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let bit = 1u64 << j;
-                        let fired = (keys[j] >> clbit & 1 == 1) == *value;
-                        if fired != ref_fired {
-                            if *x {
-                                xm ^= bit;
-                            }
-                            if *z {
-                                zm ^= bit;
-                            }
-                        }
-                        if *err_p > 0.0 && fired && rng.random::<f64>() < *err_p {
-                            let k = rng.random_range(0..3usize);
-                            let (ex, ez) = pauli_to_bits([Pauli::X, Pauli::Y, Pauli::Z][k]);
-                            if ex {
-                                xm ^= bit;
-                            }
-                            if ez {
-                                zm ^= bit;
-                            }
-                        }
-                    }
-                    fx[q] ^= xm;
-                    fz[q] ^= zm;
-                    phase.tick_propagation();
-                }
-                BatchOp::Anchor { item } => {
-                    for &(shot, q, p) in ins.in_shot_range(*item, base, base + active) {
-                        let bit = 1u64 << (shot - base);
-                        let (x, z) = pauli_to_bits(p);
-                        if x {
-                            fx[q] ^= bit;
-                        }
-                        if z {
-                            fz[q] ^= bit;
-                        }
-                    }
-                    phase.tick_propagation();
-                }
-            }
-        }
-        phase.finish();
-        ca_obs::counter_add("engine.batches", 1);
-        ca_obs::counter_add("engine.shots", active as u64);
-        BatchOut { fx, fz, keys }
-    }
-
-    /// The v2 sampling pass for qubits `q_lo..q_hi`: hashes the
+    /// The sampling pass for qubits `q_lo..q_hi`: hashes the
     /// range's initial-Z planes and the noise-mask words of every
     /// program op *owned* by a qubit in the range (see
     /// [`BatchOp::owner`]) into `out`, in program order. Called once
@@ -1646,15 +1344,15 @@ impl BatchPlan {
         }
     }
 
-    /// Runs one seed-schedule-v2 strip of `active ≤ STRIP_SHOTS`
-    /// shot-lanes starting at global shot index `base` (a multiple of
-    /// [`STRIP_SHOTS`]): `wc = ceil(active/64)` bit-plane words per
-    /// qubit walk the program together, so the per-op dispatch cost is
-    /// paid once per 256 shots instead of once per 64.
+    /// Runs one strip of `active ≤ STRIP_SHOTS` shot-lanes starting
+    /// at global shot index `base` (a multiple of [`STRIP_SHOTS`]):
+    /// `wc = ceil(active/64)` bit-plane words per qubit walk the
+    /// program together, so the per-op dispatch cost is paid once per
+    /// 256 shots instead of once per 64.
     ///
     /// Every decision is a counter-based hash of `(seed, shot, site)`
-    /// — the identical pure function the serial sampler's v2 path
-    /// evaluates — so lane `j` of strip word `w` reproduces shot
+    /// — the identical pure function the serial sampler evaluates —
+    /// so lane `j` of strip word `w` reproduces shot
     /// `base + 64·w + j` bit-for-bit regardless of walk order, worker
     /// count, or tail occupancy. Order-independence makes the whole
     /// strip two clean passes: a *sampling* pass hashes every noise
@@ -1947,10 +1645,43 @@ impl BatchPlan {
         StripOut { fx, fz, keys, wc }
     }
 
+    /// Runs every strip of a run over the output cone of `outputs`
+    /// and returns `reduce(strip, active lanes)` per strip, in strip
+    /// order. `cancel` is polled at the start of every strip: each
+    /// strip returns `Result`, and the first error in strip order
+    /// aborts the whole run with no partial result.
+    fn map_strips<T: Send>(
+        &self,
+        sim: &Simulator,
+        reference: &RefBits,
+        ins: &InsertionSet,
+        params: crate::plan::ShotParams<'_>,
+        outputs: Outputs<'_>,
+        reduce: impl Fn(&StripOut, usize) -> T + Sync,
+    ) -> Result<Vec<T>, SimError> {
+        let crate::plan::ShotParams {
+            shots,
+            seed,
+            workers,
+            cancel,
+        } = params;
+        let live = self.pruned(outputs);
+        let strips = shots.div_ceil(STRIP_SHOTS);
+        let shards = crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
+        map_batches(strips, workers, |s| -> Result<T, SimError> {
+            crate::cancel::check_opt(cancel)?;
+            let base = s * STRIP_SHOTS;
+            let active = STRIP_SHOTS.min(shots - base);
+            let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
+            Ok(crate::obs_util::time_engine_phase("reduction", || {
+                reduce(&out, active)
+            }))
+        })
+        .into_iter()
+        .collect()
+    }
+
     /// Shot-sampled classical counts over this prepared plan.
-    /// `cancel` is polled at the start of every batch strip: each
-    /// strip closure returns `Result`, and the first error in strip
-    /// order aborts the whole run with no partial counts.
     pub(crate) fn counts(
         &self,
         sim: &Simulator,
@@ -1958,43 +1689,16 @@ impl BatchPlan {
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
     ) -> Result<RunResult, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
-        let nbits = self.frame.sc.num_clbits;
-        let parts = if sim.schedule == SeedSchedule::V2 {
-            let live = self.pruned(Outputs::Clbits);
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            map_batches(strips, workers, |s| -> Result<_, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = s * STRIP_SHOTS;
-                let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    sorted_keys(&out.keys[..active])
-                }))
-            })
-        } else {
-            let batches = shots.div_ceil(LANES);
-            map_batches(batches, workers, |b| -> Result<_, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = b * LANES;
-                let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, reference, seed, base, active, ins);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    sorted_keys(&out.keys[..active])
-                }))
-            })
-        }
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+        let parts = self.map_strips(
+            sim,
+            reference,
+            ins,
+            params,
+            Outputs::Clbits,
+            |out, active| sorted_keys(&out.keys[..active]),
+        )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            RunResult::from_strip_keys(shots, nbits, parts)
+            RunResult::from_strip_keys(params.shots, self.frame.sc.num_clbits, parts)
         }))
     }
 
@@ -2022,7 +1726,6 @@ impl BatchPlan {
     }
 
     /// Frame-averaged Pauli expectations over this prepared plan.
-    /// `cancel` is polled at the start of every batch strip.
     pub(crate) fn expectations(
         &self,
         sim: &Simulator,
@@ -2032,76 +1735,32 @@ impl BatchPlan {
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let prepared = Self::prepare_observables(tableau, paulis);
-        let partials: Vec<Vec<f64>> = if sim.schedule == SeedSchedule::V2 {
-            let live = self.pruned(Outputs::Support(&support_union(&prepared)));
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            map_batches(strips, workers, |s| -> Result<Vec<f64>, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = s * STRIP_SHOTS;
-                let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    prepared
-                        .iter()
-                        .map(|(r, support)| {
-                            if *r == 0 {
-                                return 0.0;
-                            }
-                            let mut sum = 0i64;
-                            for w in 0..out.wc {
-                                let aw = LANES.min(active - w * LANES);
-                                let mask = if aw == LANES {
-                                    u64::MAX
-                                } else {
-                                    (1u64 << aw) - 1
-                                };
-                                let parity = strip_parity(&out, w, support);
-                                let flips = (parity & mask).count_ones() as i64;
-                                sum += aw as i64 - 2 * flips;
-                            }
-                            (*r as i64 * sum) as f64
-                        })
-                        .collect()
-                }))
-            })
-        } else {
-            let batches = shots.div_ceil(LANES);
-            map_batches(batches, workers, |b| -> Result<Vec<f64>, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = b * LANES;
-                let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, reference, seed, base, active, ins);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let lane_mask = if active == LANES {
-                        u64::MAX
-                    } else {
-                        (1u64 << active) - 1
-                    };
-                    prepared
-                        .iter()
-                        .map(|(r, support)| {
-                            if *r == 0 {
-                                return 0.0;
-                            }
-                            let parity = support_parity(&out, support);
-                            let flips = (parity & lane_mask).count_ones() as i64;
-                            (*r as i64 * (active as i64 - 2 * flips)) as f64
-                        })
-                        .collect()
-                }))
-            })
-        }
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+        let support = support_union(&prepared);
+        let partials = self.map_strips(
+            sim,
+            reference,
+            ins,
+            params,
+            Outputs::Support(&support),
+            |out, active| -> Vec<f64> {
+                prepared
+                    .iter()
+                    .map(|(r, support)| {
+                        if *r == 0 {
+                            return 0.0;
+                        }
+                        let mut sum = 0i64;
+                        for w in 0..out.wc {
+                            let (aw, mask) = word_lanes(active, w);
+                            let flips = (strip_parity(out, w, support) & mask).count_ones() as i64;
+                            sum += aw as i64 - 2 * flips;
+                        }
+                        (*r as i64 * sum) as f64
+                    })
+                    .collect()
+            },
+        )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
             let mut out = vec![0.0; paulis.len()];
             for part in partials {
@@ -2110,16 +1769,15 @@ impl BatchPlan {
                 }
             }
             for o in &mut out {
-                *o /= shots as f64;
+                *o /= params.shots as f64;
             }
             out
         }))
     }
 
-    /// Per-shot ±1 outcomes over this prepared plan: batch `b`'s
-    /// masked parity word *is* word `b` of the shot bitvector, so the
-    /// result is assembled with no per-shot work at all. `cancel` is
-    /// polled at the start of every batch strip.
+    /// Per-shot ±1 outcomes over this prepared plan: strip word `w`'s
+    /// masked parity word *is* word `w` of the shot bitvector, so the
+    /// result is assembled with no per-shot work at all.
     pub(crate) fn flips(
         &self,
         sim: &Simulator,
@@ -2129,87 +1787,33 @@ impl BatchPlan {
         ins: &InsertionSet,
         params: crate::plan::ShotParams<'_>,
     ) -> Result<PauliFlips, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
+        let shots = params.shots;
         let prepared = Self::prepare_observables(tableau, paulis);
-        let words = shots.div_ceil(LANES);
-        if sim.schedule == SeedSchedule::V2 {
-            let live = self.pruned(Outputs::Support(&support_union(&prepared)));
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            let partials: Vec<Vec<Vec<u64>>> =
-                map_batches(strips, workers, |s| -> Result<_, SimError> {
-                    crate::cancel::check_opt(cancel)?;
-                    let base = s * STRIP_SHOTS;
-                    let active = STRIP_SHOTS.min(shots - base);
-                    let out =
-                        self.run_strip(sim, reference, &live, seed, base, active, ins, shards);
-                    Ok(crate::obs_util::time_engine_phase("reduction", || {
-                        prepared
-                            .iter()
-                            .map(|(_, support)| {
-                                (0..out.wc)
-                                    .map(|w| {
-                                        let aw = LANES.min(active - w * LANES);
-                                        let mask = if aw == LANES {
-                                            u64::MAX
-                                        } else {
-                                            (1u64 << aw) - 1
-                                        };
-                                        strip_parity(&out, w, support) & mask
-                                    })
-                                    .collect()
-                            })
-                            .collect()
-                    }))
-                })
-                .into_iter()
-                .collect::<Result<Vec<_>, SimError>>()?;
-            return Ok(crate::obs_util::time_engine_phase("reduction", || {
-                let mut flips = vec![vec![0u64; words]; paulis.len()];
-                for (s, per_obs) in partials.iter().enumerate() {
-                    for (o, obs_words) in per_obs.iter().enumerate() {
-                        for (w, word) in obs_words.iter().enumerate() {
-                            flips[o][s * STRIP_WORDS + w] = *word;
-                        }
-                    }
-                }
-                PauliFlips {
-                    shots,
-                    refs: prepared.iter().map(|(r, _)| *r).collect(),
-                    flips,
-                }
-            }));
-        }
-        let partials: Vec<Vec<u64>> = map_batches(words, workers, |b| -> Result<_, SimError> {
-            crate::cancel::check_opt(cancel)?;
-            let base = b * LANES;
-            let active = LANES.min(shots - base);
-            let out = self.run_batch(sim, reference, seed, base, active, ins);
-            Ok(crate::obs_util::time_engine_phase("reduction", || {
-                let lane_mask = if active == LANES {
-                    u64::MAX
-                } else {
-                    (1u64 << active) - 1
-                };
+        let support = support_union(&prepared);
+        let partials = self.map_strips(
+            sim,
+            reference,
+            ins,
+            params,
+            Outputs::Support(&support),
+            |out, active| -> Vec<Vec<u64>> {
                 prepared
                     .iter()
-                    .map(|(_, support)| support_parity(&out, support) & lane_mask)
+                    .map(|(_, support)| {
+                        (0..out.wc)
+                            .map(|w| strip_parity(out, w, support) & word_lanes(active, w).1)
+                            .collect()
+                    })
                     .collect()
-            }))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+            },
+        )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut flips = vec![vec![0u64; words]; paulis.len()];
-            for (b, batch_words) in partials.iter().enumerate() {
-                for (o, w) in batch_words.iter().enumerate() {
-                    flips[o][b] = *w;
+            let mut flips = vec![vec![0u64; shots.div_ceil(LANES)]; paulis.len()];
+            for (s, per_obs) in partials.iter().enumerate() {
+                for (o, obs_words) in per_obs.iter().enumerate() {
+                    for (w, word) in obs_words.iter().enumerate() {
+                        flips[o][s * STRIP_WORDS + w] = *word;
+                    }
                 }
             }
             PauliFlips {
@@ -2224,8 +1828,6 @@ impl BatchPlan {
 /// `(reference expectation, support plane selectors)` per observable.
 type PreparedObs = Vec<(i32, Vec<(usize, bool, bool)>)>;
 
-/// Every observable's support selectors in one list: the outputs an
-/// expectation or flips run reads.
 /// One strip's shot keys, sorted in the strip's worker for the
 /// counts reduction ([`RunResult::from_strip_keys`]).
 fn sorted_keys(keys: &[u64]) -> Vec<u64> {
@@ -2234,6 +1836,8 @@ fn sorted_keys(keys: &[u64]) -> Vec<u64> {
     keys
 }
 
+/// Every observable's support selectors in one list: the outputs an
+/// expectation or flips run reads.
 fn support_union(prepared: &PreparedObs) -> Vec<(usize, bool, bool)> {
     prepared
         .iter()
@@ -2241,22 +1845,22 @@ fn support_union(prepared: &PreparedObs) -> Vec<(usize, bool, bool)> {
         .collect()
 }
 
-/// Lane-parity word of one observable against a batch's final planes.
+/// The active lanes of strip word `w` in a strip of `active` shots,
+/// and their lane mask.
 #[inline]
-fn support_parity(out: &BatchOut, support: &[(usize, bool, bool)]) -> u64 {
-    let mut parity = 0u64;
-    for &(q, x_obs, z_obs) in support {
-        if z_obs {
-            parity ^= out.fx[q];
-        }
-        if x_obs {
-            parity ^= out.fz[q];
-        }
-    }
-    parity
+fn word_lanes(active: usize, w: usize) -> (usize, u64) {
+    let aw = LANES.min(active - w * LANES);
+    (
+        aw,
+        if aw == LANES {
+            u64::MAX
+        } else {
+            (1u64 << aw) - 1
+        },
+    )
 }
 
-/// Lane-parity word of one observable against one word of a v2
+/// Lane-parity word of one observable against one word of a
 /// strip's final planes (layout `[q * wc + w]`).
 #[inline]
 fn strip_parity(out: &StripOut, w: usize, support: &[(usize, bool, bool)]) -> u64 {
@@ -2272,15 +1876,7 @@ fn strip_parity(out: &StripOut, w: usize, support: &[(usize, bool, bool)]) -> u6
     parity
 }
 
-/// The finished state of one batch: per-qubit frame bit-planes and
-/// per-lane classical keys.
-struct BatchOut {
-    fx: Vec<u64>,
-    fz: Vec<u64>,
-    keys: [u64; LANES],
-}
-
-/// The finished state of one v2 strip: per-qubit plane words laid out
+/// The finished state of one strip: per-qubit plane words laid out
 /// `[q * wc + w]`, per-lane classical keys (`w * 64 + j`), and the
 /// strip's word count `wc ≤ STRIP_WORDS`.
 struct StripOut {
@@ -2586,7 +2182,6 @@ mod tests {
     #[test]
     fn sharded_strip_matches_unsharded_for_every_shard_count() {
         let (sim, qc) = noisy_workload();
-        let sim = sim.with_seed_schedule(SeedSchedule::V2);
         let sc = sched(&qc);
         let plan = BatchPlan::build(&sim, &sc).unwrap();
         let (bits, _) = plan.frame.reference(17);
@@ -2841,10 +2436,7 @@ mod tests {
             readout_error: false,
             ..NoiseConfig::default()
         };
-        (
-            Simulator::with_config(device, noise).with_seed_schedule(SeedSchedule::V2),
-            sched(&qc),
-        )
+        (Simulator::with_config(device, noise), sched(&qc))
     }
 
     /// A disabled or broken pruner fails here: on the 16-pair 1121q

@@ -28,8 +28,10 @@
 //!
 //! Stochastic processes (charge parity, quasi-static 1/f detuning,
 //! T1/T2, depolarizing gate error, readout error) are sampled per
-//! shot in every engine, from RNG streams seeded per shot index
-//! ([`plan::shot_seed`]) so results are independent of thread count
+//! shot in every engine: the frame engines hash every draw from
+//! `(seed, shot, site)` ([`plan::shot_site_seed`]) and the dense
+//! engine seeds one RNG stream per fixed shot chunk
+//! ([`plan::chunk_seed`]), so results are independent of thread count
 //! and batching. Dynamical decoupling, twirling, and error
 //! compensation then work — or fail — for exactly the physical reasons
 //! laid out in the paper. [`Engine::Auto`] (the default) picks the

@@ -85,14 +85,15 @@ pub struct ShotNoise {
 }
 
 impl ShotNoise {
-    /// Samples per-shot parameters for a device.
+    /// Samples per-shot parameters for a device from a sequential RNG
+    /// stream: the dense engine's draw at the start of every
+    /// trajectory.
     ///
     /// Gaussian detunings use both halves of each Box–Muller pair —
     /// half the draws and transcendentals of independent sampling.
-    /// This is on the per-shot hot path of every engine (hundreds of
-    /// thousands of samples per large-scale run), and all engines
-    /// share this one function, which keeps the serial and batched
-    /// frame engines' RNG streams bit-identical.
+    /// The draw order is pinned (`dense_shot_noise_stream_is_pinned`):
+    /// every dense-engine golden depends on it. The frame engines
+    /// draw from [`Self::sample_v2`] instead.
     pub fn sample(device: &Device, config: &NoiseConfig, rng: &mut StdRng) -> Self {
         let n = device.num_qubits();
         let mut parity_sign = vec![0.0; n];
@@ -129,17 +130,18 @@ impl ShotNoise {
         }
     }
 
-    /// Samples per-shot parameters under seed-schedule v2: every
+    /// Samples per-shot parameters for the frame engines: every
     /// qubit's draws come from one counter-based hash of
     /// `(seed, shot, NOISE site(q))` — the charge-parity sign from bit
     /// 63, the quasi-static detuning from the popcount lattice
     /// Gaussian over the low 32 bits (see [`crate::plan::lattice_value`]).
     ///
-    /// Unlike the legacy sequential stream, a calibration-disabled
-    /// qubit consumes nothing from anyone else's draws: toggling one
-    /// qubit's `quasistatic_khz` or `charge_parity_khz` cannot shift
-    /// any other qubit's noise (the Box–Muller spare-half coupling of
-    /// [`Self::sample`] is eliminated by construction).
+    /// Unlike the sequential stream of [`Self::sample`], a
+    /// calibration-disabled qubit consumes nothing from anyone else's
+    /// draws: toggling one qubit's `quasistatic_khz` or
+    /// `charge_parity_khz` cannot shift any other qubit's noise (the
+    /// Box–Muller spare-half coupling of [`Self::sample`] is eliminated
+    /// by construction).
     pub fn sample_v2(device: &Device, config: &NoiseConfig, seed: u64, shot: u64) -> Self {
         use crate::plan::{lattice_idx, lattice_value, shot_site_seed, site};
         let n = device.num_qubits();
@@ -279,8 +281,8 @@ mod tests {
 
     #[test]
     fn shot_noise_v2_qubits_are_independent_streams() {
-        // Regression for the Box–Muller spare-half coupling: under
-        // schedule v2, disabling one qubit's quasistatic calibration
+        // Regression for the Box–Muller spare-half coupling: in the
+        // hashed draw, disabling one qubit's quasistatic calibration
         // must leave every other qubit's draws bit-identical.
         let dev = uniform_device(Topology::line(5), 50.0);
         let mut dev_off = dev.clone();
@@ -295,8 +297,9 @@ mod tests {
                 assert_eq!(a.parity_sign[q].to_bits(), b.parity_sign[q].to_bits());
             }
         }
-        // The legacy schedule has the coupling (documents the bug the
-        // v2 schedule removes): qubits after the disabled one shift.
+        // The dense engine's sequential stream has the coupling
+        // (documents the bug the hashed draw removes): qubits after
+        // the disabled one shift.
         let mut r1 = StdRng::seed_from_u64(17);
         let mut r2 = StdRng::seed_from_u64(17);
         let a = ShotNoise::sample(&dev, &cfg, &mut r1);
@@ -304,7 +307,7 @@ mod tests {
         assert_ne!(
             a.detuning_khz[3].to_bits(),
             b.detuning_khz[3].to_bits(),
-            "v1 spare-half coupling disappeared; re-check the pinned stream"
+            "dense spare-half coupling disappeared; re-check the pinned stream"
         );
     }
 
@@ -332,10 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_stream_is_pinned() {
-        // Schedule v1 goldens depend on this exact stream; any change
-        // to `ShotNoise::sample`'s draw order breaks bit-compatibility
-        // and must be caught here rather than in a golden downstream.
+    fn dense_shot_noise_stream_is_pinned() {
+        // Every dense-engine trajectory starts with this exact stream;
+        // any change to `ShotNoise::sample`'s draw order moves the
+        // dense goldens and must be caught here rather than in a
+        // golden downstream.
         let mut dev = uniform_device(Topology::line(3), 50.0);
         dev.calibration.qubits[1].charge_parity_khz = 4.0;
         let mut rng = StdRng::seed_from_u64(42);
@@ -356,7 +360,7 @@ mod tests {
         ];
         assert_eq!(
             got, expected,
-            "legacy ShotNoise stream shifted; v1 goldens are invalidated"
+            "dense ShotNoise stream shifted; dense-engine goldens are invalidated"
         );
     }
 

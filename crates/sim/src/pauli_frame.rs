@@ -28,7 +28,7 @@
 //! error and readout error are already Pauli/classical channels and
 //! match the dense engine exactly.
 //!
-//! ## Factored pending banks and per-shot RNG streams
+//! ## Factored pending banks and hashed noise draws
 //!
 //! Per qubit the Z bank is stored *factored* as `(θ_static, t_signed)`
 //! — the deterministic phase plus the signed idle time that the
@@ -37,11 +37,11 @@
 //! RNG-independent (sign toggles negate both), which is what lets the
 //! bit-parallel [`crate::frame_batch`] engine precompute the entire
 //! bank evolution once per plan and reproduce this sampler's flush
-//! angles — and therefore its random draws — *bit for bit*. For the
-//! same reason every shot's RNG is seeded from
-//! [`crate::plan::shot_seed`]`(seed, shot_index)` alone: shot `i`
-//! sees one fixed stream no matter how shots are chunked over threads
-//! or packed into 64-lane words.
+//! angles — and therefore its random draws — *bit for bit*. Every
+//! noise draw is a pure hash of `(seed, shot, site)`
+//! ([`crate::plan::shot_site_seed`]), so shot `i` makes the same
+//! decisions no matter how shots are chunked over threads or packed
+//! into 64-lane words.
 //!
 //! ## Measurement randomness
 //!
@@ -80,7 +80,7 @@ use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lt_lane, map_shots_indexed, pick,
-    shot_key, site, site_draw, ExecutionPlan, PlanOp, SeedSchedule,
+    shot_key, site, site_draw, ExecutionPlan, PlanOp,
 };
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::{pack_pauli, pauli_from_bits, pauli_to_bits, Tableau};
@@ -88,7 +88,7 @@ use ca_circuit::clifford::{conjugation_table_1q, conjugation_table_2q, Table2Q};
 use ca_circuit::pauli::{Pauli, PauliString};
 use ca_circuit::{Gate, ScheduledCircuit};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -284,9 +284,6 @@ pub struct FramePlan {
     /// Number of conditional Paulis (the length of
     /// [`RefBits::fired`]).
     pub(crate) conds: usize,
-    /// The seed schedule the reference run follows (v2 defers Pauli
-    /// gates to a skeleton frame; v1 walks them gate by gate).
-    pub(crate) schedule: SeedSchedule,
     pub(crate) words: usize,
     /// Per-qubit flag: true when some item op can flush or negate the
     /// qubit's pending bank mid-stream. Only these qubits accrue
@@ -323,7 +320,7 @@ impl FramePlan {
             &sim.device,
             &sim.config,
         )?);
-        Self::build_with_plan(sc, plan, sim.schedule)
+        Self::build_with_plan(sc, plan)
     }
 
     /// Builds the frame plan over a prebuilt (possibly shared)
@@ -334,7 +331,6 @@ impl FramePlan {
     pub(crate) fn build_with_plan(
         sc: Arc<ScheduledCircuit>,
         plan: Arc<ExecutionPlan>,
-        schedule: SeedSchedule,
     ) -> Result<Self, SimError> {
         let _s = ca_obs::span("sim.compile", "frame-plan");
         stabilizer_check(&sc)?;
@@ -484,7 +480,6 @@ impl FramePlan {
             plan,
             items,
             conds,
-            schedule,
             words,
             streamed,
             streamed_list,
@@ -507,37 +502,30 @@ impl FramePlan {
         // Paulis fire against the reference's recorded bits; bank
         // rotations are invisible here (they live frame-side).
         //
-        // Under schedule v2 the Pauli gates of the circuit (DD pulses,
-        // twirl dressing — the bulk of a DD-compiled workload) are not
-        // applied to the tableau at all: they accumulate in a packed
-        // Pauli *skeleton* frame that later gates conjugate in O(1),
-        // measurements XOR into their recorded outcome, and one final
-        // sweep folds into the tableau signs. The circuit-level
-        // semantics are identical; only the mapping of the reference
-        // RNG stream onto random-outcome measurements is re-anchored,
-        // which is exactly the freedom the v2 re-baseline grants. The
-        // v1 path keeps the gate-by-gate tableau walk bit-for-bit.
-        let skel = self.schedule == SeedSchedule::V2;
-        let pauli1: Vec<Option<(bool, bool)>> = if skel {
-            sc.items
-                .iter()
-                .zip(items)
-                .map(|(si, it)| match it {
-                    Some(ItemOp::One { .. }) => pauli_of(si.instruction.gate).map(pauli_to_bits),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // The Pauli gates of the circuit (DD pulses, twirl dressing —
+        // the bulk of a DD-compiled workload) are not applied to the
+        // tableau at all: they accumulate in a packed Pauli *skeleton*
+        // frame that later gates conjugate in O(1), measurements XOR
+        // into their recorded outcome, and one final sweep folds into
+        // the tableau signs. The circuit-level semantics are those of
+        // a gate-by-gate tableau walk; only the mapping of the
+        // reference RNG stream onto random-outcome measurements
+        // differs from one.
+        let pauli1: Vec<Option<(bool, bool)>> = sc
+            .items
+            .iter()
+            .zip(items)
+            .map(|(si, it)| match it {
+                Some(ItemOp::One { .. }) => pauli_of(si.instruction.gate).map(pauli_to_bits),
+                _ => None,
+            })
+            .collect();
         let words = sc.num_qubits.div_ceil(64);
         let mut skx = vec![0u64; words];
         let mut skz = vec![0u64; words];
         let mut tableau = Tableau::zero(sc.num_qubits);
         let mut ref_rng = StdRng::seed_from_u64(seed ^ 0xC1F0_0D5E_ED00_55AA);
         let x_table = conjugation_table_1q(Gate::X);
-        let y_table = conjugation_table_1q(Gate::Y);
-        let z_table = conjugation_table_1q(Gate::Z);
         let mut ref_bits = vec![false; sc.num_clbits.max(1)];
         let mut ref_outcomes = Vec::new();
         let mut fired_bits = vec![false; self.conds];
@@ -562,26 +550,21 @@ impl FramePlan {
                 // ca-lint: allow(panic) -- plan construction guarantees unitary items at Apply ops
                 PlanOp::Apply { item } => match items[item].as_ref().expect("unitary item") {
                     ItemOp::One { q, table, .. } => {
-                        if skel {
-                            if let Some((px, pz)) = pauli1[item] {
-                                skx[*q / 64] ^= (px as u64) << (*q % 64);
-                                skz[*q / 64] ^= (pz as u64) << (*q % 64);
-                                continue;
-                            }
-                            // Conjugate the skeleton letter through the
-                            // gate (its sign is a global phase).
-                            let (_, np) = table[sk_get!(*q).index()];
-                            sk_set!(*q, np);
+                        if let Some((px, pz)) = pauli1[item] {
+                            skx[*q / 64] ^= (px as u64) << (*q % 64);
+                            skz[*q / 64] ^= (pz as u64) << (*q % 64);
+                            continue;
                         }
+                        // Conjugate the skeleton letter through the
+                        // gate (its sign is a global phase).
+                        let (_, np) = table[sk_get!(*q).index()];
+                        sk_set!(*q, np);
                         tableau.apply_1q(table, *q);
                     }
                     ItemOp::Two { a, b, table, .. } => {
-                        if skel {
-                            let (_, (na, nb)) =
-                                table[sk_get!(*a).index() + 4 * sk_get!(*b).index()];
-                            sk_set!(*a, na);
-                            sk_set!(*b, nb);
-                        }
+                        let (_, (na, nb)) = table[sk_get!(*a).index() + 4 * sk_get!(*b).index()];
+                        sk_set!(*a, na);
+                        sk_set!(*b, nb);
                         tableau.apply_2q(table, *a, *b);
                     }
                     ItemOp::CondPauli {
@@ -595,18 +578,9 @@ impl FramePlan {
                         let fired = ref_bits[*clbit] == *value;
                         fired_bits[*cond] = fired;
                         if fired {
-                            if skel {
-                                let (px, pz) = pauli_to_bits(*pauli);
-                                skx[*q / 64] ^= (px as u64) << (*q % 64);
-                                skz[*q / 64] ^= (pz as u64) << (*q % 64);
-                            } else {
-                                match pauli {
-                                    Pauli::I => {}
-                                    Pauli::X => tableau.apply_1q(&x_table, *q),
-                                    Pauli::Y => tableau.apply_1q(&y_table, *q),
-                                    Pauli::Z => tableau.apply_1q(&z_table, *q),
-                                }
-                            }
+                            let (px, pz) = pauli_to_bits(*pauli);
+                            skx[*q / 64] ^= (px as u64) << (*q % 64);
+                            skz[*q / 64] ^= (pz as u64) << (*q % 64);
                         }
                     }
                     ItemOp::BankRz { .. } | ItemOp::BankRzz { .. } | ItemOp::CondBankRz { .. } => {}
@@ -616,13 +590,11 @@ impl FramePlan {
                     let q = si.instruction.qubits[0];
                     match si.instruction.gate {
                         Gate::Measure => {
-                            let mut outcome = tableau.measure(q, &mut ref_rng);
-                            if skel {
-                                // The skeleton's X component flips the
-                                // Z-basis outcome; the frame itself is
-                                // untouched by the projection.
-                                outcome ^= skx[q / 64] >> (q % 64) & 1 == 1;
-                            }
+                            // The skeleton's X component flips the
+                            // Z-basis outcome; the frame itself is
+                            // untouched by the projection.
+                            let outcome = tableau.measure(q, &mut ref_rng)
+                                ^ (skx[q / 64] >> (q % 64) & 1 == 1);
                             if let Some(c) = si.instruction.clbit {
                                 ref_bits[c] = outcome;
                             }
@@ -630,21 +602,17 @@ impl FramePlan {
                         }
                         Gate::Reset => {
                             tableau.reset(q, &mut ref_rng, &x_table);
-                            if skel {
-                                // Reset re-pins the *true* state to
-                                // |0⟩: the deferred frame at q is dead.
-                                skx[q / 64] &= !(1 << (q % 64));
-                                skz[q / 64] &= !(1 << (q % 64));
-                            }
+                            // Reset re-pins the *true* state to |0⟩:
+                            // the deferred frame at q is dead.
+                            skx[q / 64] &= !(1 << (q % 64));
+                            skz[q / 64] &= !(1 << (q % 64));
                         }
                         _ => unreachable!(), // ca-lint: allow(panic) -- plan construction guarantees the op kind at this slot
                     }
                 }
             }
         }
-        if skel {
-            tableau.conjugate_by_pauli(&skx, &skz);
-        }
+        tableau.conjugate_by_pauli(&skx, &skz);
         (
             RefBits {
                 outcomes: ref_outcomes,
@@ -655,280 +623,8 @@ impl FramePlan {
     }
 
     /// Runs one shot: propagates a Pauli frame with sampled noise and
-    /// returns `(frame_x, frame_z, classical bits)`. `shot_idx` is the
-    /// global shot index, used only to look up the shot's Pauli
-    /// insertions in `ins` — applying an insertion is an RNG-free
-    /// frame XOR, so the random stream is untouched by it.
-    fn shot(
-        &self,
-        sim: &Simulator,
-        reference: &RefBits,
-        rng: &mut StdRng,
-        shot_idx: usize,
-        ins: &InsertionSet,
-    ) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
-        let n = self.sc.num_qubits;
-        let config = &sim.config;
-        // Coarse phase attribution for the serial engine: the
-        // shot-start noise draws go to `engine/sampling`, the whole
-        // shot to `engine/shot` (flush-time draws interleave with
-        // frame updates too finely to split here; the batch engine
-        // provides the full sampling/propagation breakdown). Clock
-        // reads only — never RNG.
-        let t_start = ca_obs::enabled().then(std::time::Instant::now); // ca-lint: allow(wall-clock) -- obs-gated timing attribution; never feeds results
-        let shot = ShotNoise::sample(&sim.device, config, rng);
-        let mut fx = vec![0u64; self.words];
-        let mut fz = vec![0u64; self.words];
-        // Initial Z-frame randomization: Z stabilizes |0…0⟩.
-        randomize_z_all(&mut fz, n, rng);
-        if let Some(t0) = t_start {
-            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            ca_obs::observe_ns("engine", "sampling", ns);
-        }
-        let mut bits = vec![false; self.sc.num_clbits.max(1)];
-        // Factored Z banks (see the module docs): deterministic phase
-        // plus signed time, combined with the shot's stochastic rate
-        // only at flush. ZZ banks have no stochastic part.
-        let mut pend_stat = vec![0.0f64; n];
-        let mut pend_time = vec![0.0f64; n];
-        let mut pend_rzz = vec![0.0f64; self.plan.edge_pairs.len()];
-        let mut deco_dt = vec![0.0f64; n];
-        let mut idle_elapsed = 0.0f64;
-        let mut meas_i = 0usize;
-
-        macro_rules! flush_qubit {
-            ($q:expr, $rng:expr) => {{
-                let q = $q;
-                let theta = pend_stat[q]
-                    + ca_device::phase_rad(shot.z_rate_khz(&sim.device, q), pend_time[q]);
-                pend_stat[q] = 0.0;
-                pend_time[q] = 0.0;
-                if theta.abs() > 1e-15 && $rng.random::<f64>() < (theta / 2.0).sin().powi(2) {
-                    toggle(&mut fz, q);
-                }
-                for &e in &self.plan.incident[q] {
-                    let th = pend_rzz[e];
-                    if th.abs() > 1e-15 {
-                        pend_rzz[e] = 0.0;
-                        if $rng.random::<f64>() < (th / 2.0).sin().powi(2) {
-                            let (a, b) = self.plan.edge_pairs[e];
-                            toggle(&mut fz, a);
-                            toggle(&mut fz, b);
-                        }
-                    }
-                }
-                if config.decoherence && deco_dt[q] > 0.0 {
-                    let cal = &sim.device.calibration.qubits[q];
-                    let dt = deco_dt[q];
-                    deco_dt[q] = 0.0;
-                    // Pauli twirl of amplitude damping: X, Y, Z each γ/4.
-                    let gamma = damping_prob(dt, cal.t1_us);
-                    if gamma > 0.0 {
-                        let r: f64 = $rng.random();
-                        if r < gamma / 4.0 {
-                            toggle(&mut fx, q);
-                        } else if r < gamma / 2.0 {
-                            toggle(&mut fx, q);
-                            toggle(&mut fz, q);
-                        } else if r < 3.0 * gamma / 4.0 {
-                            toggle(&mut fz, q);
-                        }
-                    }
-                    let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
-                    if p_z > 0.0 && $rng.random::<f64>() < p_z {
-                        toggle(&mut fz, q);
-                    }
-                }
-            }};
-        }
-
-        for op in &self.plan.ops {
-            match *op {
-                PlanOp::Segment(i) => {
-                    let seg = &self.plan.segments[i];
-                    for &(q, th) in &seg.rz_static {
-                        pend_stat[q] += th;
-                    }
-                    for &(e, th) in &self.plan.seg_edges[i] {
-                        pend_rzz[e] += th;
-                    }
-                    let dt = seg.dt();
-                    idle_elapsed += dt;
-                    for &q in &self.streamed_list {
-                        pend_time[q] += seg.signed_dt(q);
-                        deco_dt[q] += dt;
-                    }
-                }
-                PlanOp::Project { item } => {
-                    let si = &self.sc.items[item];
-                    let q = si.instruction.qubits[0];
-                    flush_qubit!(q, rng);
-                    match si.instruction.gate {
-                        Gate::Measure => {
-                            let reference = reference.outcomes[meas_i];
-                            meas_i += 1;
-                            let mut outcome = reference ^ get(&fx, q);
-                            if config.readout_error {
-                                let p = sim.device.calibration.qubits[q].readout_err;
-                                if rng.random::<f64>() < p {
-                                    outcome = !outcome;
-                                }
-                            }
-                            if let Some(c) = si.instruction.clbit {
-                                bits[c] = outcome;
-                            }
-                            // Post-collapse Z randomization.
-                            set(&mut fz, q, rng.random::<bool>());
-                        }
-                        Gate::Reset => {
-                            set(&mut fx, q, false);
-                            set(&mut fz, q, rng.random::<bool>());
-                        }
-                        _ => unreachable!(), // ca-lint: allow(panic) -- plan construction guarantees the op kind at this slot
-                    }
-                }
-                PlanOp::Apply { item } => {
-                    let si = &self.sc.items[item];
-                    // ca-lint: allow(panic) -- plan construction guarantees unitary items at Apply ops
-                    match self.items[item].as_ref().expect("unitary item") {
-                        ItemOp::CondPauli {
-                            q,
-                            pauli,
-                            clbit,
-                            value,
-                            cond,
-                            physical,
-                        } => {
-                            let q = *q;
-                            if *physical {
-                                // Feed-forward is a twirled-layer
-                                // boundary: banks flush so their
-                                // evolution stays shot-independent.
-                                flush_qubit!(q, rng);
-                            }
-                            let fired = bits[*clbit] == *value;
-                            if fired != reference.fired[*cond] {
-                                inject(&mut fx, &mut fz, q, *pauli);
-                            }
-                            if *physical && config.gate_error && fired {
-                                let p = sim.device.calibration.qubits[q].gate_err_1q;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(0..3usize);
-                                    inject(&mut fx, &mut fz, q, [Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                }
-                            }
-                        }
-                        ItemOp::BankRz { q, theta } => {
-                            pend_stat[*q] += *theta;
-                        }
-                        ItemOp::BankRzz { a, b, edge, theta } => {
-                            pend_rzz[*edge] += *theta;
-                            if config.gate_error {
-                                let scale = self
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                let p = sim.device.calibration.gate_err_2q(*a, *b) * scale;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(1..16usize);
-                                    inject(&mut fx, &mut fz, *a, Pauli::from_index(k % 4));
-                                    inject(&mut fx, &mut fz, *b, Pauli::from_index(k / 4));
-                                }
-                            }
-                        }
-                        ItemOp::CondBankRz { q, theta, edge } => {
-                            pend_stat[*q] += *theta;
-                            if let Some((e, th)) = edge {
-                                pend_rzz[*e] += *th;
-                            }
-                        }
-                        ItemOp::One { q, table, z_sign } => {
-                            let q = *q;
-                            match z_sign {
-                                Some(s) => {
-                                    if *s < 0 {
-                                        // Z-preserving pulse (X/Y): the bank
-                                        // toggles with the physical frame.
-                                        pend_stat[q] = -pend_stat[q];
-                                        pend_time[q] = -pend_time[q];
-                                        for &e in &self.plan.incident[q] {
-                                            pend_rzz[e] = -pend_rzz[e];
-                                        }
-                                    }
-                                }
-                                None => flush_qubit!(q, rng),
-                            }
-                            let p = get_pauli(&fx, &fz, q);
-                            let (_, p2) = table[p.index()];
-                            set_pauli(&mut fx, &mut fz, q, p2);
-                            if config.gate_error
-                                && !si.instruction.gate.is_virtual()
-                                && !si.instruction.merged
-                            {
-                                let p = sim.device.calibration.qubits[q].gate_err_1q;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(0..3usize);
-                                    inject(&mut fx, &mut fz, q, [Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                }
-                            }
-                        }
-                        ItemOp::Two {
-                            a,
-                            b,
-                            table,
-                            diagonal,
-                        } => {
-                            let (a, b) = (*a, *b);
-                            if !diagonal {
-                                // Twirled-layer boundary: leftover
-                                // coherent phases become Pauli noise here.
-                                flush_qubit!(a, rng);
-                                flush_qubit!(b, rng);
-                            }
-                            let pa = get_pauli(&fx, &fz, a);
-                            let pb = get_pauli(&fx, &fz, b);
-                            let (_, (qa, qb)) = table[pa.index() + 4 * pb.index()];
-                            set_pauli(&mut fx, &mut fz, a, qa);
-                            set_pauli(&mut fx, &mut fz, b, qb);
-                            if config.gate_error {
-                                let scale = self
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                let p = sim.device.calibration.gate_err_2q(a, b) * scale;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(1..16usize);
-                                    inject(&mut fx, &mut fz, a, Pauli::from_index(k % 4));
-                                    inject(&mut fx, &mut fz, b, Pauli::from_index(k / 4));
-                                }
-                            }
-                        }
-                    }
-                    // Scheduled per-shot Pauli insertions (PEC): pure
-                    // frame XORs after the item's own error draws.
-                    for &(_, q, p) in ins.for_shot(item, shot_idx) {
-                        inject(&mut fx, &mut fz, q, p);
-                    }
-                }
-            }
-        }
-        for q in 0..n {
-            if !self.streamed[q] {
-                // Settle the deferred idle accrual (see `streamed`).
-                pend_time[q] = idle_elapsed;
-                deco_dt[q] = idle_elapsed;
-            }
-            flush_qubit!(q, rng);
-        }
-        if let Some(t0) = t_start {
-            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            ca_obs::observe_ns("engine", "shot", ns);
-        }
-        (fx, fz, bits)
-    }
-
-    /// [`Self::shot`] under seed-schedule v2: every draw is a pure
-    /// hash of `(seed, shot, site)` where the site id names the
+    /// returns `(frame_x, frame_z, classical bits)`. Every draw is a
+    /// pure hash of `(seed, shot, site)` where the site id names the
     /// draw's structural location (noise class, plan-op index,
     /// qubit/edge — see [`crate::plan::site`]). Draws are therefore
     /// order-independent: this path may evaluate a different *number*
@@ -940,7 +636,10 @@ impl FramePlan {
     /// at a time; per-lane-threshold draws (`FLUSH_Z`) walk the same
     /// ladder with this lane's own `bern_theta` threshold, which the
     /// batch engine reads per lane from the lane's noise code.
-    fn shot_v2(
+    /// `shot_idx` is the global shot index; it also looks up the
+    /// shot's Pauli insertions in `ins`, which are RNG-free frame
+    /// XORs.
+    fn shot(
         &self,
         sim: &Simulator,
         reference: &RefBits,
@@ -1267,19 +966,13 @@ impl FramePlan {
             cancel,
         } = params;
         let nbits = self.sc.num_clbits;
-        let v2 = sim.schedule == SeedSchedule::V2;
         let parts = map_shots_indexed(
             shots,
-            seed,
             workers,
             cancel,
             std::collections::BTreeMap::<u64, usize>::new,
-            |i, rng, counts| {
-                let (_, _, bits) = if v2 {
-                    self.shot_v2(sim, reference, seed, i, ins)
-                } else {
-                    self.shot(sim, reference, rng, i, ins)
-                };
+            |i, counts| {
+                let (_, _, bits) = self.shot(sim, reference, seed, i, ins);
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
         )?;
@@ -1321,19 +1014,13 @@ impl FramePlan {
             cancel,
         } = params;
         let prepared = Self::prepare_observables(tableau, paulis);
-        let v2 = sim.schedule == SeedSchedule::V2;
         let sums = map_shots_indexed(
             shots,
-            seed,
             workers,
             cancel,
             || vec![0.0; prepared.len()],
-            |i, rng, acc| {
-                let (fx, fz, _) = if v2 {
-                    self.shot_v2(sim, reference, seed, i, ins)
-                } else {
-                    self.shot(sim, reference, rng, i, ins)
-                };
+            |i, acc| {
+                let (fx, fz, _) = self.shot(sim, reference, seed, i, ins);
                 for (o, (r, px, pz)) in prepared.iter().enumerate() {
                     if *r == 0 {
                         continue;
@@ -1380,21 +1067,15 @@ impl FramePlan {
         } = params;
         let prepared = Self::prepare_observables(tableau, paulis);
         let words = shots.div_ceil(64);
-        let v2 = sim.schedule == SeedSchedule::V2;
         // Per-worker bitvectors cover disjoint shot indices, so the
         // merge is a plain OR — order-independent and exact.
         let parts = map_shots_indexed(
             shots,
-            seed,
             workers,
             cancel,
             || vec![vec![0u64; words]; prepared.len()],
-            |i, rng, acc| {
-                let (fx, fz, _) = if v2 {
-                    self.shot_v2(sim, reference, seed, i, ins)
-                } else {
-                    self.shot(sim, reference, rng, i, ins)
-                };
+            |i, acc| {
+                let (fx, fz, _) = self.shot(sim, reference, seed, i, ins);
                 for (o, (_, px, pz)) in prepared.iter().enumerate() {
                     let mut parity = 0u64;
                     for w in 0..fx.len() {
@@ -1465,18 +1146,6 @@ fn inject(fx: &mut [u64], fz: &mut [u64], q: usize, p: Pauli) {
     }
     if z {
         toggle(fz, q);
-    }
-}
-
-pub(crate) fn randomize_z_all(fz: &mut [u64], n: usize, rng: &mut StdRng) {
-    for (w, word) in fz.iter_mut().enumerate() {
-        let bits_here = (n - w * 64).min(64);
-        let mask = if bits_here == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits_here) - 1
-        };
-        *word = rng.random::<u64>() & mask;
     }
 }
 

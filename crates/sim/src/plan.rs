@@ -222,60 +222,40 @@ impl ExecutionPlan {
     }
 }
 
-/// Fixed shot-block size: chunk boundaries (and therefore the RNG
-/// stream of every shot) are independent of the host's core count, so
-/// a seed reproduces the same counts on any machine.
+/// Fixed shot-block size: chunk boundaries (and therefore the dense
+/// engine's per-chunk RNG streams) are independent of the host's core
+/// count, so a seed reproduces the same counts on any machine.
 const CHUNK_SHOTS: usize = 128;
 
-/// The RNG seed of one shot, derived from the run seed and the shot's
-/// global index alone (SplitMix64-style mix). Both Pauli-frame paths —
-/// the serial reference sampler and the bit-parallel batch engine —
-/// seed shot `i` identically from this function, which is what makes
-/// their counts bit-identical and thread-count independent.
-pub fn shot_seed(seed: u64, shot: usize) -> u64 {
-    let mut z = seed ^ (shot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Which per-shot noise-draw schedule the frame engines use.
-///
-/// * [`SeedSchedule::V1`] — the legacy sequential schedule: shot `i`
-///   owns a `StdRng` seeded from [`shot_seed`], and every draw
-///   consumes the next value of that stream. Draw identity is
-///   positional, so engines must replay the exact draw *order*.
-/// * [`SeedSchedule::V2`] — the counter-based schedule: every draw is
-///   a pure hash of `(seed, shot, site)` (see [`shot_site_seed`]),
-///   where the site id names the structural location of the draw
-///   (noise class, plan-op index, qubit/edge). Draws are
-///   order-independent, which lets the batch engine sample Bernoulli
-///   decisions as bit-planes instead of 64 sequential streams.
+/// The frame engines' per-shot noise-draw schedule, named in bench
+/// and run metadata. There is one: every draw is a pure hash of
+/// `(seed, shot, site)` (see [`shot_site_seed`]), where the site id
+/// names the structural location of the draw (noise class, plan-op
+/// index, qubit/edge). Draws are order-independent, which lets the
+/// batch engine sample Bernoulli decisions as 64-lane bit-planes and
+/// the serial engine read single lanes of the same planes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeedSchedule {
-    /// Legacy per-shot sequential streams (pre-v2 goldens).
-    V1,
-    /// Counter-based per-(shot, site) hashing (default).
+    /// Counter-based per-(shot, site) hashing.
     V2,
 }
 
 impl SeedSchedule {
-    /// Stable name, hashed into the session fingerprint.
+    /// Stable name, recorded in bench metadata.
     pub fn name(self) -> &'static str {
         match self {
-            SeedSchedule::V1 => "v1",
             SeedSchedule::V2 => "v2",
         }
     }
 }
 
-/// Reads `CA_SIM_SEED_SCHEDULE` (`1`/`v1`/`legacy` or `2`/`v2`);
-/// defaults to [`SeedSchedule::V2`]. An invalid value warns once via
-/// the obs layer and falls back to the default.
+/// Reads `CA_SIM_SEED_SCHEDULE` (`2`/`v2`); defaults to
+/// [`SeedSchedule::V2`]. Any other value — including the retired
+/// `1`/`v1`/`legacy` — warns once via the obs layer and falls back to
+/// the default.
 pub fn seed_schedule_from_env() -> SeedSchedule {
     ca_obs::var_parsed_with("CA_SIM_SEED_SCHEDULE", |s| {
         match s.trim().to_ascii_lowercase().as_str() {
-            "1" | "v1" | "legacy" => Some(SeedSchedule::V1),
             "2" | "v2" => Some(SeedSchedule::V2),
             _ => None,
         }
@@ -283,8 +263,8 @@ pub fn seed_schedule_from_env() -> SeedSchedule {
     .unwrap_or(SeedSchedule::V2)
 }
 
-/// SplitMix64 finalizer: the avalanche permutation behind both seed
-/// schedules.
+/// SplitMix64 finalizer: the avalanche permutation behind every
+/// noise-draw hash.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -553,13 +533,12 @@ pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
     base.clamp(1, 16).min(jobs.max(1))
 }
 
-/// Runs `shots` across worker threads with a *per-shot* seeded RNG
-/// (see [`shot_seed`]): shot `i` sees the same stream no matter how
-/// shots are distributed over threads. The closure receives the
-/// global shot index (used for per-shot Pauli-insertion lookups).
-/// Returns per-worker accumulators for the caller to merge. Used by
-/// the serial Pauli-frame sampler; the batch engine reproduces the
-/// identical per-shot streams 64 lanes at a time.
+/// Runs `shots` across worker threads, handing the closure each
+/// global shot index. The serial Pauli-frame sampler hashes every
+/// noise draw from `(seed, shot, site)`, so shot `i` makes the same
+/// decisions no matter how shots are distributed over threads; the
+/// batch engine evaluates the identical hashes 64 lanes at a time.
+/// Returns per-worker accumulators for the caller to merge.
 ///
 /// `cancel` is polled at every chunk boundary: a cancelled or
 /// deadline-expired token stops all workers within one chunk of work
@@ -567,13 +546,11 @@ pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
 /// partial accumulation.
 pub fn map_shots_indexed<Acc: Send>(
     shots: usize,
-    seed: u64,
     workers: Option<usize>,
     cancel: Option<&crate::cancel::CancelToken>,
     new_acc: impl Fn() -> Acc + Sync,
-    per_shot: impl Fn(usize, &mut rand::rngs::StdRng, &mut Acc) + Sync,
+    per_shot: impl Fn(usize, &mut Acc) + Sync,
 ) -> Result<Vec<Acc>, SimError> {
-    use rand::SeedableRng;
     let chunks = chunk_ranges(shots);
     let workers = worker_count(workers, chunks.len());
     std::thread::scope(|scope| {
@@ -587,8 +564,7 @@ pub fn map_shots_indexed<Acc: Send>(
                     for &(start, len) in chunks.iter().skip(w).step_by(workers) {
                         crate::cancel::check_opt(cancel)?;
                         for i in start..start + len {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(shot_seed(seed, i));
-                            per_shot(i, &mut rng, &mut acc);
+                            per_shot(i, &mut acc);
                         }
                     }
                     Ok(acc)

@@ -484,12 +484,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Fingerprint of everything except the circuit and seed: device,
-/// noise switches, engine policy, seed schedule. Computed once per
-/// [`Session`].
+/// noise switches, engine policy. Computed once per [`Session`].
 fn sim_fingerprint(sim: &Simulator) -> u64 {
     let mut h = Fnv::new();
     h.u64(sim.device.fingerprint());
-    h.str(sim.schedule.name());
     let c = &sim.config;
     for (i, b) in [
         c.zz_crosstalk,
@@ -557,7 +555,7 @@ impl Simulator {
         sc: &Arc<ScheduledCircuit>,
         plan: &Arc<ExecutionPlan>,
     ) -> Result<Backend, SimError> {
-        let frame = || FramePlan::build_with_plan(sc.clone(), plan.clone(), self.schedule);
+        let frame = || FramePlan::build_with_plan(sc.clone(), plan.clone());
         Ok(match self.engine_for(sc)?.name() {
             "statevector" => {
                 check_gate_arities(sc)?;

@@ -1,11 +1,11 @@
-//! Qubit-sharded sampling support for the v2 strip runner.
+//! Qubit-sharded sampling support for the frame-batch strip runner.
 //!
 //! At Osprey/Condor widths (433/1121 qubits) a single strip's
 //! sampling pass — per-lane noise codes plus the per-op mask
 //! hashing — dominates wall clock, and with few strips in
 //! flight (low shot counts) strip-level fan-out alone cannot fill the
-//! worker pool. The v2 seed schedule makes a second axis available
-//! for free: every draw is a pure counter-based hash of
+//! worker pool. The seed schedule makes a second axis available for
+//! free: every draw is a pure counter-based hash of
 //! `(seed, shot, site)` where the site is keyed by the op's *owner*
 //! qubit (flushes, gates, measures) or an edge id reachable only from
 //! its flush's owner. Sampling therefore partitions exactly by owner:
@@ -26,10 +26,6 @@
 //! schedule therefore copies each op's *live* word count, and a
 //! shard's initial-Z block holds its live qubits only. On a sparse
 //! layer most shards own idle lattice and finish almost at once.
-//!
-//! Seed-schedule v1 draws are positional in a per-shot stream and
-//! cannot shard; the v1 path never reaches this module, which keeps
-//! the cross-schedule equivalence guarantees intact.
 
 /// Devices narrower than this never shard: below a few hundred qubits
 /// the per-shard walk overhead (each shard still scans the full op

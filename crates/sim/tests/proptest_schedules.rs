@@ -1,17 +1,16 @@
-//! Property tests for the v2 counter-based seed schedule.
+//! Property tests for the counter-based seed schedule.
 //!
 //! Three layers of guarantees:
 //!
-//! * **Engine equivalence** — with the schedule pinned *explicitly*
-//!   (not read from the environment), the serial stabilizer engine and
-//!   the bit-parallel batch engine produce bit-identical counts at
-//!   every shot count (full words, partial tail lanes, single shots)
-//!   and every worker count, under both [`SeedSchedule::V1`] and
-//!   [`SeedSchedule::V2`].
-//! * **Statistical equivalence** — v1 and v2 are different RNG
-//!   schedules over the *same* physical noise model, so their sampled
-//!   distributions must agree up to shot noise (TVD band on a noisy
-//!   10-qubit layer).
+//! * **Engine equivalence** — the serial stabilizer engine and the
+//!   bit-parallel batch engine produce bit-identical counts at every
+//!   shot count (full words, partial tail lanes, single shots) and
+//!   every worker count.
+//! * **Statistical equivalence** — the batch engine's hashed noise
+//!   draws and the dense engine's sequential stream sample the *same*
+//!   physical noise model, so on a circuit where the frame twirl is
+//!   exact their distributions must agree up to shot noise (TVD band
+//!   on a 4-qubit Ramsey circuit).
 //! * **Primitive soundness** — the per-(shot, site) hash has no
 //!   collisions over a large structured grid and avalanches on
 //!   single-bit input flips; the bit-plane threshold ladders
@@ -22,10 +21,8 @@
 
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{uniform_device, Device, Topology};
-use ca_sim::plan::{
-    bern_theta, bern_threshold, lt_lane, lt_mask, lt_masks, plane, shot_site_seed, SeedSchedule,
-};
-use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
+use ca_sim::plan::{bern_theta, bern_threshold, lt_lane, lt_mask, lt_masks, plane, shot_site_seed};
+use ca_sim::{BatchedFrameEngine, Engine, NoiseConfig, Simulator, StabilizerEngine};
 use proptest::prelude::*;
 
 /// A noisy line device with every stochastic channel switched on.
@@ -61,16 +58,14 @@ fn layer_circuit(n: usize) -> ScheduledCircuit {
     schedule_asap(&qc, GateDurations::default())
 }
 
-fn sim_with(n: usize, schedule: SeedSchedule) -> Simulator {
-    Simulator::with_config(noisy_device(n), NoiseConfig::default()).with_seed_schedule(schedule)
+fn noisy_sim(n: usize) -> Simulator {
+    Simulator::with_config(noisy_device(n), NoiseConfig::default())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Serial and batch must agree bit-for-bit under BOTH schedules,
-    // pinned explicitly so the test is independent of
-    // CA_SIM_SEED_SCHEDULE in the environment. Shot counts weight the
+    // Serial and batch must agree bit-for-bit. Shot counts weight the
     // word-boundary cases (partial tail lanes, exactly one word, one
     // shot) that the bit-plane sampler has to mask correctly.
     #[test]
@@ -81,23 +76,21 @@ proptest! {
         ],
         seed in 0..u64::MAX,
     ) {
-        for schedule in [SeedSchedule::V1, SeedSchedule::V2] {
-            let sim = sim_with(6, schedule);
-            let sc = layer_circuit(6);
-            let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-            let batch = BatchedFrameEngine::new(&sim);
-            let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let sim = noisy_sim(6);
+        let sc = layer_circuit(6);
+        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
+        let batch = BatchedFrameEngine::new(&sim);
+        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        prop_assert_eq!(
+            &serial, &one,
+            "serial vs batch diverge: shots {} seed {}", shots, seed
+        );
+        for workers in [2usize, 8] {
+            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
             prop_assert_eq!(
-                &serial, &one,
-                "serial vs batch diverge: {:?} shots {} seed {}", schedule, shots, seed
+                &one, &got,
+                "worker-count dependence: shots {} workers {}", shots, workers
             );
-            for workers in [2usize, 8] {
-                let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
-                prop_assert_eq!(
-                    &one, &got,
-                    "worker-count dependence: {:?} shots {} workers {}", schedule, shots, workers
-                );
-            }
         }
     }
 
@@ -130,47 +123,58 @@ proptest! {
     }
 }
 
-// v1 and v2 sample the same physical model through different RNG
-// schedules: distributions must agree up to shot noise. Four measured
-// qubits keep the outcome space small (16 patterns), so the empirical
-// TVD between two 4096-shot runs of the same distribution concentrates
-// well below the 0.1 band asserted here.
+// An independent oracle for the frame engines' per-lane bank
+// thresholds: the dense engine draws each shot's charge-parity sign
+// and quasi-static detuning from its own sequential stream and applies
+// the accumulated phase exactly, sharing no sampling code with the
+// hashed bit-plane ladders. In this Ramsey circuit each qubit's bank
+// flushes once, at its closing H, so the frame engine's Pauli twirl is
+// exact in distribution and both engines sample the same outcome
+// distribution. Four measured qubits keep the outcome space small (16
+// patterns), so the empirical TVD between two 8192-shot runs of the
+// same distribution concentrates well below the 0.1 band asserted
+// here.
 #[test]
-fn v1_and_v2_agree_statistically_on_noisy_layer() {
-    let n = 10;
-    let shots = 4096;
-    let mut qc = Circuit::new(n, 4);
+fn frame_batch_bank_draws_match_dense_ramsey() {
+    let n = 4;
+    let shots = 8192;
+    let mut dev = uniform_device(Topology::line(n), 0.0);
     for q in 0..n {
-        qc.h(q);
+        dev.calibration.qubits[q].quasistatic_khz = 30.0;
+        dev.calibration.qubits[q].charge_parity_khz = 12.0;
+        dev.calibration.qubits[q].readout_err = 0.03;
+        dev.calibration.qubits[q].gate_err_1q = 0.002;
     }
-    for q in (0..n - 1).step_by(2) {
-        qc.ecr(q, q + 1);
-    }
-    for q in (1..n - 1).step_by(2) {
-        qc.ecr(q, q + 1);
-    }
-    for (c, q) in [0usize, 3, 6, 9].into_iter().enumerate() {
-        qc.measure(q, c);
+    let noise = NoiseConfig {
+        charge_parity: true,
+        quasistatic: true,
+        gate_error: true,
+        readout_error: true,
+        ..NoiseConfig::ideal()
+    };
+    let mut qc = Circuit::new(n, n);
+    for q in 0..n {
+        qc.h(q).delay(1500.0 * (q + 1) as f64, q).h(q).measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let run = |schedule| {
-        let sim = sim_with(n, schedule);
-        BatchedFrameEngine::new(&sim)
+    let run = |engine| {
+        Simulator::with_engine(dev.clone(), noise, engine)
             .run_counts(&sc, shots, 41)
             .unwrap()
     };
-    let v1 = run(SeedSchedule::V1);
-    let v2 = run(SeedSchedule::V2);
+    let frame = run(Engine::FrameBatch);
+    let dense = run(Engine::Statevector);
     let mut tvd = 0.0f64;
     for pattern in 0..16u64 {
-        let p1 = *v1.counts.get(&pattern).unwrap_or(&0) as f64 / shots as f64;
-        let p2 = *v2.counts.get(&pattern).unwrap_or(&0) as f64 / shots as f64;
-        tvd += (p1 - p2).abs();
+        tvd += (frame.probability(pattern) - dense.probability(pattern)).abs();
     }
     tvd /= 2.0;
-    assert!(tvd < 0.1, "v1/v2 TVD {tvd:.4} outside the shot-noise band");
-    for c in 0..4 {
-        let d = (v1.marginal_one(c) - v2.marginal_one(c)).abs();
+    assert!(
+        tvd < 0.1,
+        "frame/dense TVD {tvd:.4} outside the shot-noise band"
+    );
+    for c in 0..n {
+        let d = (frame.marginal_one(c) - dense.marginal_one(c)).abs();
         assert!(d < 0.05, "clbit {c}: marginal gap {d:.4}");
     }
 }
@@ -318,7 +322,7 @@ fn bank_tail_thresholds_stay_bit_identical_to_serial() {
         assert_eq!(bern_theta(theta).leading_zeros(), 8, "θ = {theta}");
     }
     let n = 6;
-    let sim = sim_with(n, SeedSchedule::V2);
+    let sim = noisy_sim(n);
     let sc = bank_tail_circuit(n, &TAIL_ANGLES);
     for (shots, seed) in [(2048usize, 5u64), (777, 6)] {
         let serial = StabilizerEngine::new(&sim)

@@ -1,19 +1,18 @@
 //! Bit-identity of the qubit-sharded strip sampler at Osprey scale.
 //!
-//! The v2 strip runner fans its sampling pass out across contiguous
+//! The frame-batch strip runner fans its sampling pass out across contiguous
 //! qubit shards when a run has more worker threads than strips (see
 //! `ca_sim`'s shard module). Sharding is a wall-clock knob only: the
 //! per-shard buffers merged in op order must reproduce the unsharded
 //! buffer word for word, so counts must be bit-identical across
-//! every worker count — and equal to the serial engine — under both
-//! seed schedules, including odd shot counts with partial tail lanes.
+//! every worker count — and equal to the serial engine — including
+//! odd shot counts with partial tail lanes.
 //! At 433 qubits the worker-count sweep actually crosses the
 //! sharded/unsharded dispatch boundary (narrow devices never shard),
 //! which is exactly the boundary these tests pin.
 
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{presets, Device};
-use ca_sim::plan::SeedSchedule;
 use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
 use proptest::prelude::*;
 
@@ -49,12 +48,12 @@ fn sparse_workload(device: &Device, measured: usize) -> ScheduledCircuit {
     schedule_asap(&qc, GateDurations::default())
 }
 
-fn sim_433(schedule: SeedSchedule) -> Simulator {
+fn sim_433() -> Simulator {
     let noise = NoiseConfig {
         readout_error: false,
         ..NoiseConfig::default()
     };
-    Simulator::with_config(presets::osprey_like(7), noise).with_seed_schedule(schedule)
+    Simulator::with_config(presets::osprey_like(7), noise)
 }
 
 proptest! {
@@ -63,8 +62,7 @@ proptest! {
     // Worker counts 1/2/8 cross the shard dispatch boundary at 433
     // qubits (1 worker → unsharded, 8 workers with ≤ 2 strips → up to
     // 8 shards); all must agree bit-for-bit with each other and with
-    // the serial engine, under both schedules. Shot counts weight the
-    // strip boundaries: one partial strip, exactly one strip, a tail
+    // the serial engine. Shot counts weight the strip boundaries: one partial strip, exactly one strip, a tail
     // strip with partial lanes.
     #[test]
     fn sharded_counts_are_worker_invariant_at_433q(
@@ -73,24 +71,21 @@ proptest! {
         ],
         seed in 0..u64::MAX,
     ) {
-        for schedule in [SeedSchedule::V1, SeedSchedule::V2] {
-            let sim = sim_433(schedule);
-            let sc = sparse_workload(&sim.device, 6);
-            let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-            let batch = BatchedFrameEngine::new(&sim);
-            let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let sim = sim_433();
+        let sc = sparse_workload(&sim.device, 6);
+        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
+        let batch = BatchedFrameEngine::new(&sim);
+        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        prop_assert_eq!(
+            &serial, &one,
+            "serial vs batch diverge at 433q: shots {} seed {}", shots, seed
+        );
+        for workers in [2usize, 8] {
+            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
             prop_assert_eq!(
-                &serial, &one,
-                "serial vs batch diverge at 433q: {:?} shots {} seed {}", schedule, shots, seed
+                &one, &got,
+                "worker/shard-count dependence at 433q: shots {} workers {}", shots, workers
             );
-            for workers in [2usize, 8] {
-                let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
-                prop_assert_eq!(
-                    &one, &got,
-                    "worker/shard-count dependence at 433q: {:?} shots {} workers {}",
-                    schedule, shots, workers
-                );
-            }
         }
     }
 }
@@ -108,8 +103,7 @@ fn narrow_circuit_on_wide_devices_runs_and_stays_invariant() {
         qc.h(0).ecr(0, 1).delay(500.0, 3);
         qc.measure(0, 0).measure(1, 1);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let sim = Simulator::with_config(device, NoiseConfig::default())
-            .with_seed_schedule(SeedSchedule::V2);
+        let sim = Simulator::with_config(device, NoiseConfig::default());
         let batch = BatchedFrameEngine::new(&sim);
         let one = batch.run_counts_with_workers(&sc, 130, 9, Some(1)).unwrap();
         let eight = batch.run_counts_with_workers(&sc, 130, 9, Some(8)).unwrap();
@@ -149,7 +143,7 @@ fn cone_workload(device: &Device, measured: usize) -> ScheduledCircuit {
 }
 
 fn wide_sim(device: Device) -> Simulator {
-    Simulator::with_config(device, NoiseConfig::default()).with_seed_schedule(SeedSchedule::V2)
+    Simulator::with_config(device, NoiseConfig::default())
 }
 
 // Output-cone pruning on the sharded path: at 433 and 1121 qubits the

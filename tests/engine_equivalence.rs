@@ -971,19 +971,14 @@ fn dense_expectations_identical_across_worker_counts() {
 
 // ---- Output-cone pruning ------------------------------------------------
 //
-// Under seed schedule v2 the batch engine samples only the noise sites
-// whose masks can reach the run's outputs (measured clbits for counts,
-// observable supports for expectations and flips). The serial engine
+// The batch engine samples only the noise sites whose masks can reach
+// the run's outputs (measured clbits for counts, observable supports
+// for expectations and flips). The serial engine
 // is never pruned, so it is the oracle: every case below must match it
 // bit for bit at 1, 2 and 3 workers. The circuits put idle, noisy
 // spectators next to the qubits that are read — ZZ edges from a dead
 // qubit to a live one flush right before a basis change on the live
 // end, so dropping such an edge's draw changes the counts.
-
-/// An 8-qubit line with every channel on, pinned to `schedule`.
-fn pruning_sim(schedule: ca_sim::plan::SeedSchedule) -> Simulator {
-    noisy_frame_sim(8).with_seed_schedule(schedule)
-}
 
 /// Qubits 2, 3 and 5 are read; 0, 1, 4, 6 and 7 idle or run gates
 /// nothing reads. Edges (1,2), (3,4), (4,5) and (5,6) join dead
@@ -1018,7 +1013,7 @@ fn assert_counts_match_serial(sim: &Simulator, qc: &Circuit, shots: usize, seed:
 
 #[test]
 fn pruned_partial_measurement_with_idle_spectators_matches_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sim = noisy_frame_sim(8);
     for (shots, seed) in [(700usize, 3u64), (1025, 19)] {
         assert_counts_match_serial(&sim, &spectator_circuit(true), shots, seed);
     }
@@ -1026,7 +1021,7 @@ fn pruned_partial_measurement_with_idle_spectators_matches_serial() {
 
 #[test]
 fn pruned_mid_circuit_measure_and_reset_match_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sim = noisy_frame_sim(8);
     let mut qc = Circuit::new(8, 4);
     qc.h(1).h(4).ecr(1, 2);
     // Clbit 3 is written twice: the first write (qubit 4) is dead.
@@ -1042,7 +1037,7 @@ fn pruned_mid_circuit_measure_and_reset_match_serial() {
 
 #[test]
 fn pruned_expectations_with_every_letter_match_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sim = noisy_frame_sim(8);
     let sc = schedule_asap(&spectator_circuit(false), GateDurations::default());
     let obs = [
         PauliString::parse("IIZXIYII").unwrap(),
@@ -1064,7 +1059,7 @@ fn pruned_expectations_with_every_letter_match_serial() {
 
 #[test]
 fn pruned_flips_with_pec_insertions_match_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sim = noisy_frame_sim(8);
     let sc = schedule_asap(&spectator_circuit(false), GateDurations::default());
     let obs = [
         PauliString::parse("IIZZIXII").unwrap(),
@@ -1086,16 +1081,10 @@ fn pruned_flips_with_pec_insertions_match_serial() {
 
 #[test]
 fn feed_forward_circuits_are_not_pruned_and_match_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V2);
+    let sim = noisy_frame_sim(8);
     let mut qc = spectator_circuit(true);
     qc.gate_if(Gate::X, [4], 0, true);
     qc.gate_if(Gate::Z, [6], 1, false);
     qc.h(4).measure(4, 2);
     assert_counts_match_serial(&sim, &qc, 650, 31);
-}
-
-#[test]
-fn v1_schedule_runs_unpruned_and_matches_serial() {
-    let sim = pruning_sim(ca_sim::plan::SeedSchedule::V1);
-    assert_counts_match_serial(&sim, &spectator_circuit(true), 650, 37);
 }
