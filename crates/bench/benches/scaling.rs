@@ -31,7 +31,7 @@ use ca_core::{pipeline, CompileOptions, Context, Strategy};
 use ca_device::{uniform_device, Topology};
 use ca_experiments::large_scale;
 use ca_experiments::Budget;
-use ca_sim::{Engine, Job, JobOutput, NoiseConfig, RunResult, Session, Simulator};
+use ca_sim::{Engine, InsertionSet, Job, JobOutput, NoiseConfig, RunResult, Session, Simulator};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -365,7 +365,6 @@ fn main() {
             },
             Engine::FrameBatch,
         );
-        let engine = ca_sim::BatchedFrameEngine::new(&sim);
         let mut reference: Option<RunResult> = None;
         [1usize, 2, 4, 8]
             .into_iter()
@@ -374,8 +373,9 @@ fn main() {
                 let mut res = None;
                 for _ in 0..3 {
                     let start = Instant::now();
-                    let r = engine
-                        .run_counts_with_workers(&sc, shots, 11, Some(workers))
+                    let r = sim
+                        .compile(&sc, 11)
+                        .and_then(|c| c.run_counts(shots, &InsertionSet::empty(), Some(workers)))
                         .expect("simulate");
                     best = best.min(start.elapsed().as_secs_f64());
                     res = Some(r);
@@ -454,10 +454,10 @@ fn main() {
         );
         // Shard/worker invariance on every row of the axis: 1 worker
         // never shards, 8 workers shard the sampling pass at 433+.
-        let engine = ca_sim::BatchedFrameEngine::new(&sim);
         for workers in [1usize, 2, 8] {
-            let got = engine
-                .run_counts_with_workers(&sc, shots, 11, Some(workers))
+            let got = sim
+                .compile(&sc, 11)
+                .and_then(|c| c.run_counts(shots, &InsertionSet::empty(), Some(workers)))
                 .expect("simulate");
             assert_eq!(
                 reference, got,
@@ -466,7 +466,7 @@ fn main() {
         }
         // Cache-state invariance: the cold submit compiles and plans,
         // the warm resubmit is served from the session LRU; both must
-        // reproduce the direct-engine counts bit for bit.
+        // reproduce the one-shot counts bit for bit.
         let session = Session::new(Simulator::with_config(device.clone(), hh_noise));
         let job = Job::counts(sc.clone(), shots, 11);
         for state in ["cold", "warm"] {

@@ -11,7 +11,7 @@
 //! where its merged twirl slots sit, and derives every other instance
 //! as a *dressing* — a `(item, Pauli)` substitution list the
 //! simulator's compiled-artifact layer applies without replanning
-//! (`ca-sim`'s `CompiledCircuit::redress`).
+//! (`ca-sim`'s `Session::compiled_dressed`).
 //!
 //! Soundness is checked, not assumed: the base seed's twirl draws are
 //! re-derived through the same slot-matching used for every other

@@ -46,19 +46,6 @@ impl Device {
         self.calibration.durations
     }
 
-    /// A structural fingerprint of the device: any change to the
-    /// topology, calibration snapshot, or derived crosstalk graph
-    /// changes the hash (up to 64-bit collisions). Computed from the
-    /// canonical JSON snapshot — calibration maps are `BTreeMap`s, so
-    /// the serialisation (and therefore the hash) is deterministic.
-    /// Plan-cache layers compute this once per device, not per
-    /// lookup.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = ca_circuit::Fnv::new();
-        h.str(&self.to_json());
-        h.finish()
-    }
-
     /// Serialises the device to JSON (calibration snapshot format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("device serialises") // ca-lint: allow(panic) -- Device is plain data; JSON serialisation cannot fail

@@ -1,17 +1,20 @@
-//! The engine abstraction: shot execution behind a trait, with three
-//! implementations and an auto-selection policy. Dispatch is
-//! panic-free: every entry point validates the circuit up front and
-//! returns a structured [`SimError`] instead of crashing.
+//! Engine selection: the three engines a [`Simulator`] can run a
+//! circuit on, and the auto-selection policy. Every run goes through
+//! [`Simulator::compile`], which resolves the engine once per circuit
+//! and keeps it in the [`crate::CompiledCircuit`]. Dispatch is
+//! panic-free: an unsupported circuit yields a structured
+//! [`SimError`] instead of a crash.
 //!
-//! * [`StatevectorEngine`] — the dense trajectory executor: exact for
-//!   every gate and for coherent context-dependent noise, but
+//! * [`Engine::Statevector`] — the dense trajectory executor: exact
+//!   for every gate and for coherent context-dependent noise, but
 //!   exponential in qubits (hard cap 24).
-//! * [`crate::StabilizerEngine`] — CHP tableau + serial Pauli frames:
+//! * [`Engine::Stabilizer`] — CHP tableau + serial Pauli frames:
 //!   linear scaling for Clifford circuits, one frame per shot. The
-//!   reference implementation for the frame model.
-//! * [`crate::BatchedFrameEngine`] — the same frame model propagated
-//!   64 shots per machine word with bit-identical seeded counts;
-//!   the engine the large-scale workloads run on.
+//!   reference implementation for the frame model, and the
+//!   bit-identity oracle of the batched engine.
+//! * [`Engine::FrameBatch`] — the same frame model propagated 64
+//!   shots per machine word with bit-identical seeded counts; the
+//!   engine the large-scale workloads run on.
 //!
 //! ## Selection rules (`Engine::Auto`, the default)
 //!
@@ -42,10 +45,8 @@
 
 use crate::error::SimError;
 use crate::executor::Simulator;
-use crate::frame_batch::BatchedFrameEngine;
-use crate::pauli_frame::{stabilizer_check, stabilizer_supports, StabilizerEngine};
-use crate::result::RunResult;
-use ca_circuit::{PauliString, ScheduledCircuit};
+use crate::pauli_frame::{stabilizer_check, stabilizer_supports};
+use ca_circuit::ScheduledCircuit;
 
 /// Hard qubit cap of the dense statevector engine (2ⁿ amplitudes).
 pub const DENSE_MAX_QUBITS: usize = 24;
@@ -95,196 +96,55 @@ pub fn check_gate_arities(sc: &ScheduledCircuit) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Shot execution abstracted over backends. All execution methods
-/// validate the circuit and return [`SimError`] rather than panic.
-pub trait SimEngine {
-    /// Engine name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// `Ok` when this engine can execute the scheduled circuit;
-    /// otherwise the specific constraint it violates.
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError>;
-
-    /// True when this engine can execute the scheduled circuit.
-    fn supports(&self, sc: &ScheduledCircuit) -> bool {
-        self.validate(sc).is_ok()
-    }
-
-    /// Runs `shots` and gathers classical-bit counts.
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError>;
-
-    /// Averages quantum Pauli expectations over `shots`.
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError>;
-
-    /// Convenience: a single Pauli expectation.
-    fn expect_pauli(
-        &self,
-        sc: &ScheduledCircuit,
-        pauli: &PauliString,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, SimError> {
-        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
-    }
-}
-
-/// The dense statevector engine, borrowing a simulator configuration.
-pub struct StatevectorEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl SimEngine for StatevectorEngine<'_> {
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        check_gate_arities(sc)?;
-        if sc.num_qubits > DENSE_MAX_QUBITS {
-            return Err(SimError::DenseCapExceeded {
-                qubits: sc.num_qubits,
-                max: DENSE_MAX_QUBITS,
-            });
+impl Engine {
+    /// The engine's name in logs, reports and errors.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Engine::Auto => "auto",
+            Engine::Statevector => "statevector",
+            Engine::Stabilizer => "stabilizer",
+            Engine::FrameBatch => "frame-batch",
         }
-        Ok(())
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.validate(sc)?;
-        self.sim.run_counts_dense(sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.validate(sc)?;
-        self.sim.expect_paulis_dense(sc, paulis, shots, seed)
-    }
-}
-
-impl SimEngine for StabilizerEngine<'_> {
-    fn name(&self) -> &'static str {
-        "stabilizer"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        stabilizer_check(sc)
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        StabilizerEngine::run_counts(self, sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        StabilizerEngine::expect_paulis(self, sc, paulis, shots, seed)
-    }
-}
-
-impl SimEngine for BatchedFrameEngine<'_> {
-    fn name(&self) -> &'static str {
-        "frame-batch"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        stabilizer_check(sc)
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        BatchedFrameEngine::run_counts(self, sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        BatchedFrameEngine::expect_paulis(self, sc, paulis, shots, seed)
     }
 }
 
 impl Simulator {
-    /// Resolves the engine for a circuit according to the simulator's
-    /// [`Engine`] setting and the module-level selection rules.
+    /// Resolves the concrete engine for a circuit according to the
+    /// simulator's [`Engine`] setting and the module-level selection
+    /// rules; never returns [`Engine::Auto`].
     ///
-    /// Forced engines always resolve (their execution methods report
-    /// unsupported circuits); `Auto` detects the no-engine case up
-    /// front and returns [`SimError::NoSupportingEngine`] naming both
-    /// the dense qubit cap and the Clifford requirement.
-    pub fn engine_for<'a>(
-        &'a self,
-        sc: &ScheduledCircuit,
-    ) -> Result<Box<dyn SimEngine + 'a>, SimError> {
-        match self.engine {
-            Engine::Statevector => Ok(Box::new(StatevectorEngine { sim: self })),
-            Engine::Stabilizer => Ok(Box::new(StabilizerEngine::new(self))),
-            Engine::FrameBatch => Ok(Box::new(BatchedFrameEngine::new(self))),
-            Engine::Auto => {
-                check_gate_arities(sc)?;
-                let frame_ok = stabilizer_supports(sc);
-                if frame_ok && sc.num_qubits > AUTO_DENSE_MAX_QUBITS {
-                    Ok(Box::new(BatchedFrameEngine::new(self)))
-                } else if sc.num_qubits <= DENSE_MAX_QUBITS {
-                    Ok(Box::new(StatevectorEngine { sim: self }))
-                } else {
-                    let blocking_gate = match stabilizer_check(sc) {
-                        Err(SimError::NotClifford { gate })
-                        | Err(SimError::UnsupportedConditional { gate }) => gate,
-                        Err(SimError::ConditionalClbitOutOfRange { .. }) => "feed-forward",
-                        _ => "unknown",
-                    };
-                    Err(SimError::NoSupportingEngine {
-                        qubits: sc.num_qubits,
-                        dense_max: DENSE_MAX_QUBITS,
-                        blocking_gate,
-                    })
-                }
-            }
+    /// Forced engines always resolve (compiling reports unsupported
+    /// circuits); `Auto` detects the no-engine case up front and
+    /// returns [`SimError::NoSupportingEngine`] naming both the dense
+    /// qubit cap and the Clifford requirement.
+    pub(crate) fn resolve_engine(&self, sc: &ScheduledCircuit) -> Result<Engine, SimError> {
+        if self.engine != Engine::Auto {
+            return Ok(self.engine);
+        }
+        check_gate_arities(sc)?;
+        if stabilizer_supports(sc) && sc.num_qubits > AUTO_DENSE_MAX_QUBITS {
+            Ok(Engine::FrameBatch)
+        } else if sc.num_qubits <= DENSE_MAX_QUBITS {
+            Ok(Engine::Statevector)
+        } else {
+            let blocking_gate = match stabilizer_check(sc) {
+                Err(SimError::NotClifford { gate })
+                | Err(SimError::UnsupportedConditional { gate }) => gate,
+                Err(SimError::ConditionalClbitOutOfRange { .. }) => "feed-forward",
+                _ => "unknown",
+            };
+            Err(SimError::NoSupportingEngine {
+                qubits: sc.num_qubits,
+                dense_max: DENSE_MAX_QUBITS,
+                blocking_gate,
+            })
         }
     }
 
-    /// The engine name [`Self::engine_for`] resolves to for this
-    /// circuit, or the dispatch error.
+    /// The name of the engine this circuit resolves to, or the
+    /// dispatch error.
     pub fn engine_name_for(&self, sc: &ScheduledCircuit) -> Result<&'static str, SimError> {
-        Ok(self.engine_for(sc)?.name())
+        Ok(self.resolve_engine(sc)?.name())
     }
 }
 
@@ -305,6 +165,7 @@ mod tests {
             Simulator::with_config(uniform_device(Topology::line(2), 0.0), NoiseConfig::ideal());
         let mut qc = Circuit::new(2, 0);
         qc.h(0).cx(0, 1);
+        assert_eq!(sim.resolve_engine(&sched(&qc)), Ok(Engine::Statevector));
         assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "statevector");
     }
 
@@ -317,6 +178,7 @@ mod tests {
         for q in 0..n - 1 {
             qc.cx(q, q + 1);
         }
+        assert_eq!(sim.resolve_engine(&sched(&qc)), Ok(Engine::FrameBatch));
         assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "frame-batch");
     }
 
@@ -334,9 +196,9 @@ mod tests {
         }
         qc.append(Gate::Rx(0.3), [0]);
         let sc = sched(&qc);
-        let err = match sim.engine_for(&sc) {
+        let err = match sim.resolve_engine(&sc) {
             Err(e) => e,
-            Ok(engine) => panic!("expected no-engine error, resolved {}", engine.name()),
+            Ok(engine) => panic!("expected no-engine error, resolved {engine:?}"),
         };
         assert_eq!(
             err,
@@ -365,6 +227,7 @@ mod tests {
         qc.h(0).cx(0, 1).h(0).measure(0, 0);
         qc.gate_if(Gate::Z, [1], 0, true);
         qc.gate_if(Gate::Rz(0.3), [1], 0, true);
+        assert_eq!(sim.resolve_engine(&sched(&qc)), Ok(Engine::FrameBatch));
         assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "frame-batch");
     }
 
@@ -379,6 +242,7 @@ mod tests {
         let sc = sched(&qc);
         let dev = uniform_device(Topology::line(n), 0.0);
         let auto = Simulator::with_config(dev.clone(), NoiseConfig::ideal());
+        assert!(auto.resolve_engine(&sc).is_err());
         assert_eq!(
             auto.run_counts(&sc, 10, 1).unwrap_err(),
             SimError::NoSupportingEngine {
@@ -412,12 +276,15 @@ mod tests {
         let mut sim = Simulator::with_config(dev, NoiseConfig::ideal());
         let mut qc = Circuit::new(2, 0);
         qc.h(0).cx(0, 1);
-        sim.engine = Engine::Stabilizer;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "stabilizer");
-        sim.engine = Engine::Statevector;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "statevector");
-        sim.engine = Engine::FrameBatch;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "frame-batch");
+        for (engine, name) in [
+            (Engine::Stabilizer, "stabilizer"),
+            (Engine::Statevector, "statevector"),
+            (Engine::FrameBatch, "frame-batch"),
+        ] {
+            sim.engine = engine;
+            assert_eq!(sim.resolve_engine(&sched(&qc)), Ok(engine));
+            assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), name);
+        }
     }
 
     #[test]

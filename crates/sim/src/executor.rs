@@ -11,6 +11,7 @@
 
 use crate::engine::Engine;
 use crate::error::SimError;
+use crate::insert::InsertionSet;
 use crate::noise::{
     amplitude_damping_kraus, damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise,
 };
@@ -22,7 +23,7 @@ use ca_circuit::pauli::PauliString;
 use ca_circuit::{Gate, ScheduledCircuit};
 use ca_device::{phase_rad, Device};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 /// The simulator: a device, a noise configuration, and an engine
 /// selection policy (see [`crate::engine`]).
@@ -57,10 +58,6 @@ impl Simulator {
             config,
             engine,
         }
-    }
-
-    fn plan(&self, sc: &ScheduledCircuit) -> Result<ExecutionPlan, SimError> {
-        ExecutionPlan::build(sc, &self.device, &self.config)
     }
 
     /// Runs one trajectory; returns the final state and classical bits.
@@ -238,20 +235,22 @@ impl Simulator {
         (st, bits)
     }
 
-    /// Runs `shots` and gathers classical-bit counts, dispatching to
-    /// the engine the [`Engine`] policy selects for this circuit.
-    /// Unsupported circuits yield a [`SimError`], never a panic.
+    /// Runs `shots` and gathers classical-bit counts on the engine the
+    /// [`Engine`] policy selects for this circuit: a one-shot
+    /// [`Self::compile`]. Unsupported circuits yield a [`SimError`],
+    /// never a panic.
     pub fn run_counts(
         &self,
         sc: &ScheduledCircuit,
         shots: usize,
         seed: u64,
     ) -> Result<RunResult, SimError> {
-        self.engine_for(sc)?.run_counts(sc, shots, seed)
+        self.compile(sc, seed)?
+            .run_counts(shots, &InsertionSet::empty(), None)
     }
 
     /// Averages the quantum expectation values of the given Pauli
-    /// strings over `shots`, dispatching like [`Self::run_counts`].
+    /// strings over `shots`, compiling like [`Self::run_counts`].
     pub fn expect_paulis(
         &self,
         sc: &ScheduledCircuit,
@@ -259,26 +258,26 @@ impl Simulator {
         shots: usize,
         seed: u64,
     ) -> Result<Vec<f64>, SimError> {
-        self.engine_for(sc)?.expect_paulis(sc, paulis, shots, seed)
+        self.compile(sc, seed)?
+            .expect_paulis(paulis, shots, &InsertionSet::empty(), None)
     }
 
-    /// Runs `shots` trajectories on the dense statevector engine.
-    /// Callers (the [`crate::StatevectorEngine`] trait impl) validate
-    /// arity and the qubit cap first.
-    pub(crate) fn run_counts_dense(
+    /// Convenience: single Pauli expectation.
+    pub fn expect_pauli(
         &self,
         sc: &ScheduledCircuit,
+        pauli: &PauliString,
         shots: usize,
         seed: u64,
-    ) -> Result<RunResult, SimError> {
-        let plan = self.plan(sc)?;
-        self.run_counts_dense_plan(&plan, shots, seed, None, None)
+    ) -> Result<f64, SimError> {
+        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
     }
 
-    /// [`Self::run_counts_dense`] over a prebuilt plan — the entry the
-    /// compiled-artifact layer uses so cached plans skip replanning.
-    /// `workers` caps the shot threads (see [`crate::plan::worker_count`]);
-    /// `cancel` is polled at shot-chunk boundaries.
+    /// Runs `shots` trajectories of a prebuilt plan on the dense
+    /// statevector engine — the entry the compiled-artifact layer
+    /// uses, so cached plans skip replanning. `workers` caps the shot
+    /// threads (see [`crate::plan::worker_count`]); `cancel` is polled
+    /// at shot-chunk boundaries.
     pub(crate) fn run_counts_dense_plan(
         &self,
         plan: &ExecutionPlan,
@@ -305,23 +304,11 @@ impl Simulator {
         }))
     }
 
-    /// Dense-engine Pauli expectations (no sampling noise beyond the
-    /// stochastic noise processes themselves).
-    pub(crate) fn expect_paulis_dense(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = self.plan(sc)?;
-        self.expect_paulis_dense_plan(&plan, paulis, shots, seed, None, None)
-    }
-
-    /// [`Self::expect_paulis_dense`] over a prebuilt plan, with the
-    /// worker cap and cancellation of [`Self::run_counts_dense_plan`].
-    /// The per-chunk sums fold in chunk order, so the result does not
-    /// depend on the worker count.
+    /// Dense-engine Pauli expectations of a prebuilt plan (no
+    /// sampling noise beyond the stochastic noise processes
+    /// themselves), with the worker cap and cancellation of
+    /// [`Self::run_counts_dense_plan`]. The per-chunk sums fold in
+    /// chunk order, so the result does not depend on the worker count.
     pub(crate) fn expect_paulis_dense_plan(
         &self,
         plan: &ExecutionPlan,
@@ -359,24 +346,14 @@ impl Simulator {
         }))
     }
 
-    /// Convenience: single Pauli expectation.
-    pub fn expect_pauli(
-        &self,
-        sc: &ScheduledCircuit,
-        pauli: &PauliString,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, SimError> {
-        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
-    }
-
     /// Runs a single dense trajectory (deterministic for a given seed)
     /// and returns the final state and classical bits. Test hook;
     /// always uses the statevector engine (a tableau has no `State`).
-    pub fn run_single(&self, sc: &ScheduledCircuit, seed: u64) -> (State, Vec<bool>) {
-        crate::engine::check_gate_arities(sc).expect("run_single: malformed circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
-        let plan = self.plan(sc).expect("run_single: unplannable circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
-        let mut rng = StdRng::seed_from_u64(seed);
+    #[cfg(test)]
+    pub(crate) fn run_single(&self, sc: &ScheduledCircuit, seed: u64) -> (State, Vec<bool>) {
+        let plan = ExecutionPlan::build(sc, &self.device, &self.config)
+            .expect("run_single: unplannable circuit");
+        let mut rng = rand::SeedableRng::seed_from_u64(seed);
         self.trajectory(&plan, &mut rng)
     }
 }

@@ -37,12 +37,12 @@
 //!   hashes every op's noise masks 64 lanes per word and then
 //!   applies them to the planes word-wise.
 //!
-//! The result: classical counts are bit-for-bit equal to
-//! [`crate::StabilizerEngine`] for any seed, any shot count (tail
-//! strips simply run fewer lanes), and any worker-thread count
-//! (strips are independent; expectation sums are reduced in strip
-//! order, and each shot contributes an integer ±1, so even the f64
-//! accumulations are exact).
+//! The result: classical counts are bit-for-bit equal to the serial
+//! engine's ([`crate::Engine::Stabilizer`]) for any seed, any shot
+//! count (tail strips simply run fewer lanes), and any worker-thread
+//! count (strips are independent; expectation sums are reduced in
+//! strip order, and each shot contributes an integer ±1, so even the
+//! f64 accumulations are exact).
 //!
 //! ## Output-cone pruning
 //!
@@ -97,7 +97,7 @@ use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::{pauli_to_bits, Tableau};
 use ca_circuit::clifford::Table2Q;
 use ca_circuit::pauli::{Pauli, PauliString};
-use ca_circuit::{Gate, ScheduledCircuit};
+use ca_circuit::Gate;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -568,7 +568,11 @@ impl BatchPlan {
     /// program is seed-free: runs take the seed's reference bits
     /// ([`FramePlan::reference`]) separately, so one program serves
     /// every seed of a circuit.
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
+    #[cfg(test)]
+    pub(crate) fn build(
+        sim: &Simulator,
+        sc: &ca_circuit::ScheduledCircuit,
+    ) -> Result<Self, SimError> {
         Ok(Self::from_frame(sim, FramePlan::build(sim, sc)?))
     }
 
@@ -1886,180 +1890,6 @@ struct StripOut {
     wc: usize,
 }
 
-/// The bit-parallel batched frame engine (see the module docs): a
-/// [`crate::SimEngine`] over a borrowed simulator configuration,
-/// producing bit-identical seeded counts to the serial
-/// [`crate::StabilizerEngine`] at a fraction of the cost.
-pub struct BatchedFrameEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl<'a> BatchedFrameEngine<'a> {
-    /// Borrows the simulator.
-    pub fn new(sim: &'a Simulator) -> Self {
-        Self { sim }
-    }
-
-    /// Shot-sampled classical counts (see [`crate::SimEngine`]).
-    pub fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.run_counts_with_workers(sc, shots, seed, None)
-    }
-
-    /// [`Self::run_counts`] with an explicit worker-thread count —
-    /// the determinism hook: counts are identical for every choice.
-    pub fn run_counts_with_workers(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc)?;
-        let (reference, _) = plan.frame.reference(seed);
-        plan.counts(
-            self.sim,
-            &reference,
-            &InsertionSet::empty(),
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// [`Self::run_counts`] with scheduled per-shot Pauli insertions
-    /// (see [`crate::insert`]): bit-identical to the serial engine's
-    /// [`crate::StabilizerEngine::run_counts_with_insertions`] for
-    /// any seed, shot count, and worker count.
-    pub fn run_counts_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc)?;
-        let (reference, _) = plan.frame.reference(seed);
-        plan.counts(
-            self.sim,
-            &reference,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Frame-averaged Pauli expectations (see [`crate::SimEngine`]).
-    pub fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.expect_paulis_with_workers(sc, paulis, shots, seed, None)
-    }
-
-    /// [`Self::expect_paulis`] with an explicit worker-thread count.
-    /// Per-batch partial sums are reduced in batch order and every
-    /// shot contributes an integer ±1, so the result is bit-identical
-    /// for every worker count — and equal to the serial engine's.
-    pub fn expect_paulis_with_workers(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc)?;
-        let (reference, tableau) = plan.frame.reference(seed);
-        plan.expectations(
-            self.sim,
-            &reference,
-            &tableau,
-            paulis,
-            &InsertionSet::empty(),
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// [`Self::expect_paulis`] with scheduled per-shot Pauli
-    /// insertions.
-    pub fn expect_paulis_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc)?;
-        let (reference, tableau) = plan.frame.reference(seed);
-        plan.expectations(
-            self.sim,
-            &reference,
-            &tableau,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Per-shot ±1 outcomes (see [`crate::result::PauliFlips`]):
-    /// bit-identical to the serial engine's
-    /// [`crate::StabilizerEngine::expect_flips`].
-    pub fn expect_flips(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<PauliFlips, SimError> {
-        let plan = BatchPlan::build(self.sim, sc)?;
-        let (reference, tableau) = plan.frame.reference(seed);
-        plan.flips(
-            self.sim,
-            &reference,
-            &tableau,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-}
-
 /// Verifies a 1q table's symplectic form against direct lookups —
 /// exposed for the property tests.
 #[cfg(test)]
@@ -2078,13 +1908,31 @@ mod tests {
     use super::*;
     use crate::insert::PauliInsertion;
     use crate::noise::NoiseConfig;
-    use crate::pauli_frame::StabilizerEngine;
+    use crate::session::CompiledCircuit;
+    use crate::Engine;
     use ca_circuit::clifford::{conjugation_table_1q, conjugation_table_2q};
-    use ca_circuit::{schedule_asap, Circuit, GateDurations};
+    use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
     use ca_device::{uniform_device, Topology};
 
     fn sched(qc: &Circuit) -> ScheduledCircuit {
         schedule_asap(qc, GateDurations::default())
+    }
+
+    /// `sc` compiled at `seed` for the serial oracle and for the batch
+    /// engine.
+    fn serial_and_batch(
+        sim: &Simulator,
+        sc: &ScheduledCircuit,
+        seed: u64,
+    ) -> (CompiledCircuit, CompiledCircuit) {
+        let on = |engine| {
+            let sim = Simulator {
+                engine,
+                ..sim.clone()
+            };
+            sim.compile(sc, seed).unwrap()
+        };
+        (on(Engine::Stabilizer), on(Engine::FrameBatch))
     }
 
     #[test]
@@ -2165,11 +2013,11 @@ mod tests {
     fn batch_counts_bit_identical_to_serial() {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let none = InsertionSet::empty();
         for (shots, seed) in [(1usize, 3u64), (63, 5), (64, 7), (65, 9), (200, 11)] {
-            let a = serial.run_counts(&sc, shots, seed).unwrap();
-            let b = batch.run_counts(&sc, shots, seed).unwrap();
+            let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+            let a = serial.run_counts(shots, &none, None).unwrap();
+            let b = batch.run_counts(shots, &none, None).unwrap();
             assert_eq!(a, b, "shots {shots} seed {seed}");
         }
     }
@@ -2212,16 +2060,16 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let qc = without_measurements(qc);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let (serial, batch) = serial_and_batch(&sim, &sc, 17);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IXXII").unwrap(),
             PauliString::parse("IIIZZ").unwrap(),
             PauliString::parse("YIIIY").unwrap(),
         ];
-        let a = serial.expect_paulis(&sc, &obs, 300, 17).unwrap();
-        let b = batch.expect_paulis(&sc, &obs, 300, 17).unwrap();
+        let none = InsertionSet::empty();
+        let a = serial.expect_paulis(&obs, 300, &none, None).unwrap();
+        let b = batch.expect_paulis(&obs, 300, &none, None).unwrap();
         assert_eq!(a, b, "expectation sums are integer-exact");
     }
 
@@ -2229,14 +2077,11 @@ mod tests {
     fn counts_independent_of_worker_count() {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
-        let batch = BatchedFrameEngine::new(&sim);
-        let reference = batch
-            .run_counts_with_workers(&sc, 500, 23, Some(1))
-            .unwrap();
+        let (_, batch) = serial_and_batch(&sim, &sc, 23);
+        let none = InsertionSet::empty();
+        let reference = batch.run_counts(500, &none, Some(1)).unwrap();
         for workers in [2usize, 3, 8] {
-            let got = batch
-                .run_counts_with_workers(&sc, 500, 23, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(500, &none, Some(workers)).unwrap();
             assert_eq!(reference, got, "{workers} workers");
         }
     }
@@ -2267,16 +2112,13 @@ mod tests {
             })
             .collect();
         let ins = InsertionSet::build(&sc, &list).unwrap();
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial
-            .run_counts_with_insertions(&sc, shots, 5, &ins)
-            .unwrap();
-        let b = batch
-            .run_counts_with_insertions(&sc, shots, 5, &ins, None)
-            .unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, 5);
+        let a = serial.run_counts(shots, &ins, None).unwrap();
+        let b = batch.run_counts(shots, &ins, None).unwrap();
         assert_eq!(a, b, "insertion runs must stay bit-identical");
-        let plain = batch.run_counts(&sc, shots, 5).unwrap();
+        let plain = batch
+            .run_counts(shots, &InsertionSet::empty(), None)
+            .unwrap();
         assert_ne!(a, plain, "insertions must change sampled outcomes");
     }
 
@@ -2285,8 +2127,7 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let qc = without_measurements(qc);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let (serial, batch) = serial_and_batch(&sim, &sc, 9);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IXXII").unwrap(),
@@ -2294,10 +2135,10 @@ mod tests {
         ];
         let none = InsertionSet::empty();
         // 130 shots: two full words plus a partial tail word.
-        let fs = serial.expect_flips(&sc, &obs, 130, 9, &none).unwrap();
-        let fb = batch.expect_flips(&sc, &obs, 130, 9, &none, None).unwrap();
+        let fs = serial.expect_flips(&obs, 130, &none, None).unwrap();
+        let fb = batch.expect_flips(&obs, 130, &none, None).unwrap();
         assert_eq!(fs, fb, "per-shot flips must be bit-identical");
-        let means = batch.expect_paulis(&sc, &obs, 130, 9).unwrap();
+        let means = batch.expect_paulis(&obs, 130, &none, None).unwrap();
         for (o, m) in means.iter().enumerate() {
             assert_eq!(fb.mean(o), *m, "observable {o}");
         }
@@ -2335,21 +2176,18 @@ mod tests {
     fn conditional_circuits_stay_bit_identical_to_serial() {
         let (sim, qc) = dynamic_workload();
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let none = InsertionSet::empty();
         for (shots, seed) in [(1usize, 3u64), (63, 5), (64, 7), (65, 9), (257, 11)] {
-            let a = serial.run_counts(&sc, shots, seed).unwrap();
-            let b = batch.run_counts(&sc, shots, seed).unwrap();
+            let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+            let a = serial.run_counts(shots, &none, None).unwrap();
+            let b = batch.run_counts(shots, &none, None).unwrap();
             assert_eq!(a, b, "shots {shots} seed {seed}");
         }
         // Worker-count independence holds through feed-forward too.
-        let reference = batch
-            .run_counts_with_workers(&sc, 300, 23, Some(1))
-            .unwrap();
+        let (_, batch) = serial_and_batch(&sim, &sc, 23);
+        let reference = batch.run_counts(300, &none, Some(1)).unwrap();
         for workers in [2usize, 3, 8] {
-            let got = batch
-                .run_counts_with_workers(&sc, 300, 23, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(300, &none, Some(workers)).unwrap();
             assert_eq!(reference, got, "{workers} workers");
         }
     }
@@ -2360,15 +2198,15 @@ mod tests {
         // only the final readout round is absent.
         let (sim, qc) = dynamic_workload_with(false);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let (serial, batch) = serial_and_batch(&sim, &sc, 17);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IIZZI").unwrap(),
             PauliString::parse("XIIII").unwrap(),
         ];
-        let a = serial.expect_paulis(&sc, &obs, 130, 17).unwrap();
-        let b = batch.expect_paulis(&sc, &obs, 130, 17).unwrap();
+        let none = InsertionSet::empty();
+        let a = serial.expect_paulis(&obs, 130, &none, None).unwrap();
+        let b = batch.expect_paulis(&obs, 130, &none, None).unwrap();
         assert_eq!(a, b, "expectation sums are integer-exact");
     }
 
@@ -2390,10 +2228,10 @@ mod tests {
             qc.measure(q, q);
         }
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, 70, 31).unwrap();
-        let b = batch.run_counts(&sc, 70, 31).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, 31);
+        let none = InsertionSet::empty();
+        let a = serial.run_counts(70, &none, None).unwrap();
+        let b = batch.run_counts(70, &none, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2472,11 +2310,11 @@ mod tests {
             banked.len()
         );
         assert!(live.live_count() * 10 <= plan.sites, "most sites are dead");
-        let serial = StabilizerEngine::new(&sim).run_counts(&sc, 70, 4).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, 4);
+        let none = InsertionSet::empty();
+        let serial = serial.run_counts(70, &none, None).unwrap();
         for workers in [1usize, 3] {
-            let got = BatchedFrameEngine::new(&sim)
-                .run_counts_with_workers(&sc, 70, 4, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(70, &none, Some(workers)).unwrap();
             assert_eq!(serial, got, "{workers} workers");
         }
     }

@@ -271,7 +271,7 @@ pub(crate) struct RefBits {
 /// instances of one schedule share the `Arc<ExecutionPlan>` — the
 /// timeline segments are twirl-independent — while each instance
 /// carries its own item ops (see
-/// [`crate::session::CompiledCircuit::redress`]).
+/// [`crate::session::Session::compiled_dressed`]).
 pub struct FramePlan {
     /// The circuit this plan executes. Equal to `plan.sc` except for
     /// re-dressed twirl instances, where merged Pauli slots differ
@@ -313,7 +313,8 @@ impl FramePlan {
     /// outside the tableau representation (non-Clifford, feed-forward,
     /// or an instruction whose operand count does not match its
     /// gate's arity).
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
+    #[cfg(test)]
+    pub(crate) fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
         let sc = Arc::new(sc.clone());
         let plan = Arc::new(ExecutionPlan::build_arc(
             sc.clone(),
@@ -1149,124 +1150,6 @@ fn inject(fx: &mut [u64], fz: &mut [u64], q: usize, p: Pauli) {
     }
 }
 
-/// The serial stabilizer/Pauli-frame engine: a [`crate::SimEngine`]
-/// over a borrowed simulator configuration, propagating one frame per
-/// shot. The reference implementation the bit-parallel
-/// [`crate::BatchedFrameEngine`] is validated against.
-pub struct StabilizerEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl<'a> StabilizerEngine<'a> {
-    /// Borrows the simulator.
-    pub fn new(sim: &'a Simulator) -> Self {
-        Self { sim }
-    }
-
-    /// Shot-sampled classical counts (see [`crate::SimEngine`]).
-    pub fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.run_counts_with_insertions(sc, shots, seed, &InsertionSet::empty())
-    }
-
-    /// [`Self::run_counts`] with scheduled per-shot Pauli insertions
-    /// (see [`crate::insert`]): the PEC hook. An empty set reproduces
-    /// the plain run exactly.
-    pub fn run_counts_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<RunResult, SimError> {
-        let plan = FramePlan::build(self.sim, sc)?;
-        let (reference, _) = plan.reference(seed);
-        plan.counts(
-            self.sim,
-            &reference,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Frame-averaged Pauli expectations (see [`crate::SimEngine`]).
-    pub fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.expect_paulis_with_insertions(sc, paulis, shots, seed, &InsertionSet::empty())
-    }
-
-    /// [`Self::expect_paulis`] with scheduled per-shot Pauli
-    /// insertions.
-    pub fn expect_paulis_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = FramePlan::build(self.sim, sc)?;
-        let (reference, tableau) = plan.reference(seed);
-        plan.expectations(
-            self.sim,
-            &reference,
-            &tableau,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Per-shot ±1 outcomes (see [`PauliFlips`]): the sign-resolved
-    /// form of [`Self::expect_paulis_with_insertions`], needed by
-    /// sign-weighted estimators like PEC. Bit-identical to the batch
-    /// engine's [`crate::BatchedFrameEngine::expect_flips`].
-    pub fn expect_flips(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<PauliFlips, SimError> {
-        let plan = FramePlan::build(self.sim, sc)?;
-        let (reference, tableau) = plan.reference(seed);
-        plan.flips(
-            self.sim,
-            &reference,
-            &tableau,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1280,6 +1163,14 @@ mod tests {
 
     fn ideal(n: usize) -> Simulator {
         Simulator::with_config(uniform_device(Topology::line(n), 0.0), NoiseConfig::ideal())
+    }
+
+    /// `sim` pinned to the serial frame engine.
+    fn serial(sim: &Simulator) -> Simulator {
+        Simulator {
+            engine: crate::Engine::Stabilizer,
+            ..sim.clone()
+        }
     }
 
     #[test]
@@ -1328,7 +1219,7 @@ mod tests {
     #[test]
     fn conditional_pauli_feed_forward_is_exact() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         // |1⟩ outcome fires the X: deterministic |11⟩.
         let mut fire = Circuit::new(2, 2);
         fire.x(0)
@@ -1353,7 +1244,7 @@ mod tests {
         // be 0 on every shot, for either aux outcome — only exact
         // per-shot feed-forward gets this right.
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(3, 3);
         qc.h(0).cx(0, 1).cx(1, 2);
         qc.h(0).measure(0, 0);
@@ -1372,7 +1263,7 @@ mod tests {
         // The condition reads the bit's value at execution time, not
         // the first measurement's: overwrite the bit, then fire.
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(3, 2);
         qc.x(0).measure(0, 0); // bit 0 = 1
                                // Barrier keeps the second measurement *after* the first in
@@ -1390,7 +1281,7 @@ mod tests {
     #[test]
     fn ideal_bell_counts_match_physics() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(2, 2);
         qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
         let res = eng.run_counts(&sched(&qc), 2000, 7).unwrap();
@@ -1406,7 +1297,7 @@ mod tests {
         // H;M must be ~50/50 across shots even with zero noise — the
         // init-Z randomization supplies the entropy.
         let sim = ideal(1);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(1, 1);
         qc.h(0).measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 3).unwrap();
@@ -1420,7 +1311,7 @@ mod tests {
     #[test]
     fn repeated_measurement_is_consistent_within_a_shot() {
         let sim = ideal(1);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(1, 2);
         qc.h(0).measure(0, 0).measure(0, 1);
         let res = eng.run_counts(&sched(&qc), 500, 5).unwrap();
@@ -1434,7 +1325,7 @@ mod tests {
     #[test]
     fn ideal_expectations_are_exact() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(2, 0);
         qc.h(0).cx(0, 1);
         let sc = sched(&qc);
@@ -1460,7 +1351,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(1, 1);
         qc.measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 17).unwrap();
@@ -1479,7 +1370,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let z = PauliString::parse("Z").unwrap();
 
         let mut bare = Circuit::new(1, 0);
@@ -1506,7 +1397,7 @@ mod tests {
         // flush (twirled into ZZ flips); staggering zeroes it.
         let dev = uniform_device(Topology::line(2), 80.0);
         let sim = Simulator::with_config(dev, NoiseConfig::coherent_only());
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let durations = GateDurations {
             one_qubit: 0.0,
             ..GateDurations::default()
@@ -1563,7 +1454,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(1, 1);
         qc.x(0).delay(50_000.0, 0).measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 13).unwrap();
@@ -1580,7 +1471,7 @@ mod tests {
         let n = 60;
         let dev = uniform_device(Topology::line(n), 60.0);
         let sim = Simulator::with_config(dev, NoiseConfig::default());
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(n, n);
         for q in 0..n {
             qc.h(q);
@@ -1602,7 +1493,7 @@ mod tests {
         // debug assertion would catch it in dev builds; release-built
         // callers and deserialized circuits reach the engine).
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(&sim);
         let mut qc = Circuit::new(3, 1);
         qc.push(ca_circuit::Instruction {
             gate: Gate::X,

@@ -11,13 +11,13 @@
 //! * [`CompiledCircuit`] — an owned, `Send + Sync` artifact: a shared
 //!   seed-free program (the scheduled circuit, the noise-timeline
 //!   [`ExecutionPlan`], the resolved engine and its precompiled frame
-//!   program) plus the seed, with a structural [`CacheKey`]. The
-//!   seed's reference run happens on first use; the reference
-//!   *tableau* is kept only once an expectation or flips run asks for
-//!   it (counts read just the reference bits). Running an artifact
-//!   never replans; results are bit-identical to the one-shot
-//!   [`Simulator`] entry points at the same seed, for any shot and
-//!   worker count.
+//!   program) plus the seed. The seed's reference run happens on
+//!   first use; the reference *tableau* is kept only once an
+//!   expectation or flips run asks for it (counts read just the
+//!   reference bits). Running an artifact never replans. [`Simulator::compile`] is the one way shots run:
+//!   the one-shot [`Simulator`] entry points compile and run one
+//!   artifact, so their results are the artifact's at the same seed,
+//!   for any shot and worker count.
 //! * [`Session`] — a simulator (shared by every artifact it compiles)
 //!   plus a two-level LRU plan cache and a job API. Level one caches
 //!   seeded [`CompiledCircuit`]s per `(circuit, seed)` — a few hundred
@@ -34,7 +34,7 @@
 //!   cache hits, eviction history, or worker count. The env toggle
 //!   `CA_SIM_PLAN_CACHE=0` disables caching (CI runs the equivalence
 //!   suites both ways).
-//! * [`CompiledCircuit::redress`] / [`Job::with_dressing`] — the
+//! * [`Session::compiled_dressed`] / [`Job::with_dressing`] — the
 //!   twirl-ensemble fast path: twirl instances of one schedule
 //!   differ only in which merged Pauli occupies each twirl slot
 //!   (merged gates are zero-width, error-free, and Stark-invisible),
@@ -46,7 +46,7 @@
 //!   compiling the dressed circuit from scratch.
 
 use crate::cancel::CancelToken;
-use crate::engine::{check_gate_arities, Engine, DENSE_MAX_QUBITS};
+use crate::engine::{Engine, DENSE_MAX_QUBITS};
 use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::frame_batch::BatchPlan;
@@ -59,14 +59,6 @@ use ca_circuit::pauli::Pauli;
 use ca_circuit::{Fnv, Gate, PauliString, ScheduledCircuit};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Structural identity of a compiled artifact: circuit structure ⊕
-/// device fingerprint ⊕ noise switches ⊕ engine policy ⊕ seed. Equal
-/// keys mean "the same plan up to 64-bit hash collisions"; the cache
-/// additionally verifies circuit equality on every hit, so a
-/// collision costs a recompile, never a wrong plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey(u64);
 
 /// The engine a program resolved to, with its seed-free precompiled
 /// program.
@@ -137,7 +129,6 @@ pub struct CompiledCircuit {
     program: Arc<Program>,
     backend: Arc<Backend>,
     reference: Reference,
-    key: CacheKey,
     seed: u64,
 }
 
@@ -148,7 +139,6 @@ impl std::fmt::Debug for CompiledCircuit {
             .field("qubits", &self.program.sc.num_qubits)
             .field("items", &self.program.sc.items.len())
             .field("seed", &self.seed)
-            .field("key", &self.key)
             .finish()
     }
 }
@@ -162,11 +152,6 @@ const _: () = {
 };
 
 impl CompiledCircuit {
-    /// The structural cache key this artifact was compiled under.
-    pub fn key(&self) -> CacheKey {
-        self.key
-    }
-
     /// The seed fixed at compile time: it seeds the reference tableau
     /// run and every shot's noise stream, so repeated runs (with
     /// different insertion sets, shot counts, or worker counts) stay
@@ -408,36 +393,6 @@ impl CompiledCircuit {
             }
         }
     }
-
-    /// Derives a sibling artifact for another twirl instance of the
-    /// same schedule: substitutes `dressing`'s Paulis into the merged
-    /// twirl slots and rebuilds the frame program, seeded with
-    /// `seed`, **sharing** the timeline [`ExecutionPlan`] — the
-    /// pass pipeline and segment construction are not repeated.
-    /// Merged slots are zero-width and error-free, so the timeline is
-    /// provably identical across instances; results are bit-identical
-    /// to compiling the dressed circuit from scratch.
-    ///
-    /// Fails on dense artifacts (the dense engine replays exact
-    /// unitaries from the plan's own circuit — a dressed instance
-    /// must compile independently) and on any substitution that is
-    /// not a Pauli into a merged single-qubit Pauli slot.
-    pub fn redress(
-        &self,
-        dressing: &[(usize, Pauli)],
-        seed: u64,
-    ) -> Result<CompiledCircuit, SimError> {
-        if matches!(*self.backend, Backend::Dense) {
-            return Err(SimError::InvalidDressing {
-                item: dressing.first().map_or(0, |d| d.0),
-                reason: "dense artifacts cannot be re-dressed; compile the instance",
-            });
-        }
-        let sc = Arc::new(apply_dressing(&self.program.sc, dressing)?);
-        let key = cache_key(sim_fingerprint(&self.sim), &sc, seed);
-        let program = Program::new(sc, self.program.plan.clone());
-        seeded(&self.sim, Arc::new(program), seed, key)
-    }
 }
 
 /// Applies a twirl dressing to a copy of `base`, validating that
@@ -483,42 +438,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fingerprint of everything except the circuit and seed: device,
-/// noise switches, engine policy. Computed once per [`Session`].
-fn sim_fingerprint(sim: &Simulator) -> u64 {
+/// The level-one cache key: circuit structure ⊕ seed. A session's
+/// simulator never changes, so nothing else can tell two artifacts
+/// apart. Equal keys mean "the same artifact up to 64-bit hash
+/// collisions"; the cache verifies circuit and seed on every hit, so a
+/// collision costs a recompile, never a wrong plan.
+fn artifact_key(sc: &ScheduledCircuit, seed: u64) -> u64 {
     let mut h = Fnv::new();
-    h.u64(sim.device.fingerprint());
-    let c = &sim.config;
-    for (i, b) in [
-        c.zz_crosstalk,
-        c.stark,
-        c.charge_parity,
-        c.quasistatic,
-        c.decoherence,
-        c.gate_error,
-        c.readout_error,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        h.u64(((i as u64) << 1) | b as u64);
-    }
-    h.str(match sim.engine {
-        Engine::Auto => "auto",
-        Engine::Statevector => "statevector",
-        Engine::Stabilizer => "stabilizer",
-        Engine::FrameBatch => "frame-batch",
-    });
-    h.finish()
-}
-
-/// Combines the session fingerprint, circuit structure, and seed.
-fn cache_key(sim_fp: u64, sc: &ScheduledCircuit, seed: u64) -> CacheKey {
-    let mut h = Fnv::new();
-    h.u64(sim_fp);
     h.u64(sc.structural_hash());
     h.u64(seed);
-    CacheKey(h.finish())
+    h.finish()
 }
 
 impl Simulator {
@@ -526,9 +455,9 @@ impl Simulator {
     /// resolves the engine per the simulator's [`Engine`] policy,
     /// builds the timeline plan, and precompiles the frame programs.
     /// The uncached single-compile entry point — sessions add the LRU
-    /// cache on top.
+    /// cache on top, and every one-shot run ([`Self::run_counts`],
+    /// [`Self::expect_paulis`]) goes through here.
     pub fn compile(&self, sc: &ScheduledCircuit, seed: u64) -> Result<CompiledCircuit, SimError> {
-        let key = cache_key(sim_fingerprint(self), sc, seed);
         let sc = Arc::new(sc.clone());
         let plan = Arc::new(ExecutionPlan::build_arc(
             sc.clone(),
@@ -539,7 +468,6 @@ impl Simulator {
             &Arc::new(self.clone()),
             Arc::new(Program::new(sc, plan)),
             seed,
-            key,
         )
     }
 
@@ -556,9 +484,8 @@ impl Simulator {
         plan: &Arc<ExecutionPlan>,
     ) -> Result<Backend, SimError> {
         let frame = || FramePlan::build_with_plan(sc.clone(), plan.clone());
-        Ok(match self.engine_for(sc)?.name() {
-            "statevector" => {
-                check_gate_arities(sc)?;
+        Ok(match self.resolve_engine(sc)? {
+            Engine::Statevector => {
                 if sc.num_qubits > DENSE_MAX_QUBITS {
                     return Err(SimError::DenseCapExceeded {
                         qubits: sc.num_qubits,
@@ -571,8 +498,11 @@ impl Simulator {
                 );
                 Backend::Dense
             }
-            "stabilizer" => Backend::Serial(frame()?),
-            _ => Backend::Batch(BatchPlan::from_frame(self, frame()?)),
+            Engine::Stabilizer => Backend::Serial(frame()?),
+            // `resolve_engine` never returns `Auto`.
+            Engine::FrameBatch | Engine::Auto => {
+                Backend::Batch(BatchPlan::from_frame(self, frame()?))
+            }
         })
     }
 }
@@ -584,7 +514,6 @@ fn seeded(
     sim: &Arc<Simulator>,
     program: Arc<Program>,
     seed: u64,
-    key: CacheKey,
 ) -> Result<CompiledCircuit, SimError> {
     let _s = ca_obs::span("sim.compile", "artifact");
     ca_obs::counter_add("sim.compiles", 1);
@@ -594,7 +523,6 @@ fn seeded(
         program,
         backend,
         reference: Reference::default(),
-        key,
         seed,
     })
 }
@@ -606,7 +534,7 @@ pub struct Job {
     pub circuit: Arc<ScheduledCircuit>,
     /// Optional twirl dressing: merged-slot Pauli substitutions
     /// applied via the shared-plan fast path
-    /// ([`CompiledCircuit::redress`]).
+    /// ([`Session::compiled_dressed`]).
     pub dressing: Option<Vec<(usize, Pauli)>>,
     /// Per-shot Pauli insertions (PEC); empty for plain runs.
     pub insertions: Vec<PauliInsertion>,
@@ -913,7 +841,6 @@ pub fn plan_cache_capacity_from_env() -> usize {
 pub struct Session {
     /// Shared by every artifact the session compiles.
     sim: Arc<Simulator>,
-    sim_fp: u64,
     /// Level one: seeded artifacts per `(circuit, seed)`.
     cache: Mutex<Lru<CompiledCircuit>>,
     /// Level two: seed-free programs per circuit.
@@ -930,10 +857,8 @@ impl Session {
 
     /// A session with an explicit cache capacity (0 disables caching).
     pub fn with_capacity(sim: Simulator, capacity: usize) -> Self {
-        let sim_fp = sim_fingerprint(&sim);
         Self {
             sim: Arc::new(sim),
-            sim_fp,
             cache: Mutex::new(Lru::new(
                 capacity,
                 LruCounterNames {
@@ -984,10 +909,7 @@ impl Session {
         sc: &ScheduledCircuit,
         timeline: Option<Arc<ExecutionPlan>>,
     ) -> Result<Arc<Program>, SimError> {
-        let mut h = Fnv::new();
-        h.u64(self.sim_fp);
-        h.u64(sc.structural_hash());
-        let key = h.finish();
+        let key = sc.structural_hash();
         if let Some(hit) = self
             .programs
             .lock()
@@ -1023,21 +945,21 @@ impl Session {
         sc: &ScheduledCircuit,
         seed: u64,
     ) -> Result<Arc<CompiledCircuit>, SimError> {
-        let key = cache_key(self.sim_fp, sc, seed);
+        let key = artifact_key(sc, seed);
         if let Some(hit) = self
             .cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key.0, |c| c.seed() == seed && *c.circuit() == *sc)
+            .get(key, |c| c.seed() == seed && *c.circuit() == *sc)
         {
             return Ok(hit);
         }
         let program = self.program(sc, None)?;
-        let compiled = Arc::new(seeded(&self.sim, program, seed, key)?);
+        let compiled = Arc::new(seeded(&self.sim, program, seed)?);
         self.cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key.0, compiled.clone());
+            .insert(key, compiled.clone());
         Ok(compiled)
     }
 
@@ -1054,12 +976,12 @@ impl Session {
         seed: u64,
     ) -> Result<Arc<CompiledCircuit>, SimError> {
         let dressed = apply_dressing(base, dressing)?;
-        let key = cache_key(self.sim_fp, &dressed, seed);
+        let key = artifact_key(&dressed, seed);
         if let Some(hit) = self
             .cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key.0, |c| c.seed() == seed && *c.circuit() == dressed)
+            .get(key, |c| c.seed() == seed && *c.circuit() == dressed)
         {
             return Ok(hit);
         }
@@ -1067,18 +989,18 @@ impl Session {
         // can never disagree with the engine `build_backend` picks.
         // Dense resolution: the plan must be built from the dressed
         // circuit itself.
-        let frame_capable = self.sim.engine_name_for(&dressed)? != "statevector";
+        let frame_capable = self.sim.resolve_engine(&dressed)? != Engine::Statevector;
         let timeline = if frame_capable {
             Some(self.program(base, None)?.plan.clone())
         } else {
             None
         };
         let program = self.program(&dressed, timeline)?;
-        let compiled = Arc::new(seeded(&self.sim, program, seed, key)?);
+        let compiled = Arc::new(seeded(&self.sim, program, seed)?);
         self.cache
             .lock()
             .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key.0, compiled.clone());
+            .insert(key, compiled.clone());
         Ok(compiled)
     }
 
@@ -1408,18 +1330,17 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SimError::UnsupportedOnEngine { .. }));
-        let err = compiled.redress(&[], 3).unwrap_err();
-        assert!(matches!(err, SimError::InvalidDressing { .. }));
     }
 
     #[test]
-    fn redress_rejects_non_slot_targets() {
-        let sim = noisy_sim(4);
+    fn compiled_dressed_rejects_non_slot_targets() {
+        let session = Session::with_capacity(noisy_sim(4), 8);
         let sc = workload(4);
-        let compiled = sim.compile(&sc, 7).unwrap();
         // No merged slots in this hand-built circuit: every item is a
         // physical gate or structural op.
-        let err = compiled.redress(&[(0, Pauli::X)], 7).unwrap_err();
+        let err = session
+            .compiled_dressed(&sc, &[(0, Pauli::X)], 7)
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::InvalidDressing {
@@ -1427,7 +1348,9 @@ mod tests {
                 ..
             }
         ));
-        let err = compiled.redress(&[(usize::MAX, Pauli::X)], 7).unwrap_err();
+        let err = session
+            .compiled_dressed(&sc, &[(usize::MAX, Pauli::X)], 7)
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::InvalidDressing {

@@ -22,8 +22,25 @@
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{uniform_device, Device, Topology};
 use ca_sim::plan::{bern_theta, bern_threshold, lt_lane, lt_mask, lt_masks, plane, shot_site_seed};
-use ca_sim::{BatchedFrameEngine, Engine, NoiseConfig, Simulator, StabilizerEngine};
+use ca_sim::{CompiledCircuit, Engine, InsertionSet, NoiseConfig, Simulator};
 use proptest::prelude::*;
+
+/// `sc` compiled at `seed` for the serial oracle and for the batch
+/// engine.
+fn serial_and_batch(
+    sim: &Simulator,
+    sc: &ScheduledCircuit,
+    seed: u64,
+) -> (CompiledCircuit, CompiledCircuit) {
+    let on = |engine| {
+        let sim = Simulator {
+            engine,
+            ..sim.clone()
+        };
+        sim.compile(sc, seed).unwrap()
+    };
+    (on(Engine::Stabilizer), on(Engine::FrameBatch))
+}
 
 /// A noisy line device with every stochastic channel switched on.
 fn noisy_device(n: usize) -> Device {
@@ -78,15 +95,16 @@ proptest! {
     ) {
         let sim = noisy_sim(6);
         let sc = layer_circuit(6);
-        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let none = InsertionSet::empty();
+        let serial = serial.run_counts(shots, &none, None).unwrap();
+        let one = batch.run_counts(shots, &none, Some(1)).unwrap();
         prop_assert_eq!(
             &serial, &one,
             "serial vs batch diverge: shots {} seed {}", shots, seed
         );
         for workers in [2usize, 8] {
-            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
+            let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
             prop_assert_eq!(
                 &one, &got,
                 "worker-count dependence: shots {} workers {}", shots, workers
@@ -325,14 +343,11 @@ fn bank_tail_thresholds_stay_bit_identical_to_serial() {
     let sim = noisy_sim(n);
     let sc = bank_tail_circuit(n, &TAIL_ANGLES);
     for (shots, seed) in [(2048usize, 5u64), (777, 6)] {
-        let serial = StabilizerEngine::new(&sim)
-            .run_counts(&sc, shots, seed)
-            .unwrap();
-        let batch = BatchedFrameEngine::new(&sim);
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let none = InsertionSet::empty();
+        let serial = serial.run_counts(shots, &none, None).unwrap();
         for workers in [1usize, 2, 3] {
-            let got = batch
-                .run_counts_with_workers(&sc, shots, seed, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
             assert_eq!(serial, got, "shots {shots} workers {workers}");
         }
     }

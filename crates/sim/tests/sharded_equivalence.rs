@@ -13,8 +13,25 @@
 
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{presets, Device};
-use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
+use ca_sim::{CompiledCircuit, Engine, InsertionSet, NoiseConfig, Simulator};
 use proptest::prelude::*;
+
+/// `sc` compiled at `seed` for the serial oracle and for the batch
+/// engine.
+fn serial_and_batch(
+    sim: &Simulator,
+    sc: &ScheduledCircuit,
+    seed: u64,
+) -> (CompiledCircuit, CompiledCircuit) {
+    let on = |engine| {
+        let sim = Simulator {
+            engine,
+            ..sim.clone()
+        };
+        sim.compile(sc, seed).unwrap()
+    };
+    (on(Engine::Stabilizer), on(Engine::FrameBatch))
+}
 
 /// A sparse layer-fidelity-style workload on a wide heavy-hex device:
 /// eigenstate prep and a few ECR rounds on a small driven sublattice,
@@ -73,15 +90,16 @@ proptest! {
     ) {
         let sim = sim_433();
         let sc = sparse_workload(&sim.device, 6);
-        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let none = InsertionSet::empty();
+        let serial = serial.run_counts(shots, &none, None).unwrap();
+        let one = batch.run_counts(shots, &none, Some(1)).unwrap();
         prop_assert_eq!(
             &serial, &one,
             "serial vs batch diverge at 433q: shots {} seed {}", shots, seed
         );
         for workers in [2usize, 8] {
-            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
+            let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
             prop_assert_eq!(
                 &one, &got,
                 "worker/shard-count dependence at 433q: shots {} workers {}", shots, workers
@@ -104,9 +122,10 @@ fn narrow_circuit_on_wide_devices_runs_and_stays_invariant() {
         qc.measure(0, 0).measure(1, 1);
         let sc = schedule_asap(&qc, GateDurations::default());
         let sim = Simulator::with_config(device, NoiseConfig::default());
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, 130, 9, Some(1)).unwrap();
-        let eight = batch.run_counts_with_workers(&sc, 130, 9, Some(8)).unwrap();
+        let (_, batch) = serial_and_batch(&sim, &sc, 9);
+        let none = InsertionSet::empty();
+        let one = batch.run_counts(130, &none, Some(1)).unwrap();
+        let eight = batch.run_counts(130, &none, Some(8)).unwrap();
         assert_eq!(one, eight, "worker dependence on {n}-qubit device");
         assert_eq!(one.shots, 130);
     }
@@ -157,14 +176,11 @@ fn pruned_sharded_counts_match_serial_at_433q_and_1121q() {
         let sim = wide_sim(device);
         let sc = cone_workload(&sim.device, 5);
         for (shots, seed) in [(200usize, 7u64), (300, 8)] {
-            let serial = StabilizerEngine::new(&sim)
-                .run_counts(&sc, shots, seed)
-                .unwrap();
-            let batch = BatchedFrameEngine::new(&sim);
+            let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+            let none = InsertionSet::empty();
+            let serial = serial.run_counts(shots, &none, None).unwrap();
             for workers in [1usize, 2, 3] {
-                let got = batch
-                    .run_counts_with_workers(&sc, shots, seed, Some(workers))
-                    .unwrap();
+                let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
                 assert_eq!(serial, got, "{n}q shots {shots} workers {workers}");
             }
         }
@@ -191,19 +207,16 @@ fn pruned_sharded_expectations_and_flips_match_serial_at_433q() {
         word(&[(a(5), 'Y')]),
         word(&[(a(1), 'Z'), (a(2), 'Z'), (a(7), 'X'), (a(6) + 1, 'Z')]),
     ];
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
-    let none = ca_sim::InsertionSet::empty();
-    let e = serial.expect_paulis(&sc, &obs, 300, 21).unwrap();
-    let f = serial.expect_flips(&sc, &obs, 300, 21, &none).unwrap();
+    let (serial, batch) = serial_and_batch(&sim, &sc, 21);
+    let none = InsertionSet::empty();
+    let e = serial.expect_paulis(&obs, 300, &none, None).unwrap();
+    let f = serial.expect_flips(&obs, 300, &none, None).unwrap();
     for workers in [1usize, 2, 3] {
         let got = batch
-            .expect_paulis_with_workers(&sc, &obs, 300, 21, Some(workers))
+            .expect_paulis(&obs, 300, &none, Some(workers))
             .unwrap();
         assert_eq!(e, got, "expectations at {workers} workers");
-        let got = batch
-            .expect_flips(&sc, &obs, 300, 21, &none, Some(workers))
-            .unwrap();
+        let got = batch.expect_flips(&obs, 300, &none, Some(workers)).unwrap();
         assert_eq!(f, got, "flips at {workers} workers");
     }
 }
@@ -234,14 +247,11 @@ fn bank_threshold_tail_lanes_match_serial_at_433q_and_1121q() {
         // 250 shots run one strip, sharded at 2 and 3 workers; 400
         // run two unsharded strips, the second with 144 lanes.
         for (shots, seed) in [(250usize, 9u64), (400, 10)] {
-            let serial = StabilizerEngine::new(&sim)
-                .run_counts(&sc, shots, seed)
-                .unwrap();
-            let batch = BatchedFrameEngine::new(&sim);
+            let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+            let none = InsertionSet::empty();
+            let serial = serial.run_counts(shots, &none, None).unwrap();
             for workers in [1usize, 2, 3] {
-                let got = batch
-                    .run_counts_with_workers(&sc, shots, seed, Some(workers))
-                    .unwrap();
+                let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
                 assert_eq!(serial, got, "{n}q shots {shots} workers {workers}");
             }
         }

@@ -59,8 +59,5 @@ pub mod prelude {
     };
     pub use ca_experiments::{Budget, Figure, Series};
     pub use ca_metrics::{fit_decay, gamma_from_layer_fidelity, DecayFit};
-    pub use ca_sim::{
-        BatchedFrameEngine, Engine, NoiseConfig, RunResult, SimEngine, SimError, Simulator,
-        StabilizerEngine, State, Tableau,
-    };
+    pub use ca_sim::{Engine, NoiseConfig, RunResult, SimError, Simulator, State, Tableau};
 }

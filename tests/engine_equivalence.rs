@@ -23,7 +23,7 @@ use context_aware_compiling::prelude::*;
 use proptest::prelude::*;
 // Explicit import so `Strategy` means proptest's trait (the compile
 // Strategy enum is referenced by path below).
-use ca_sim::{BatchedFrameEngine, InsertionSet, PauliInsertion};
+use ca_sim::{CompiledCircuit, InsertionSet, PauliInsertion};
 use proptest::Strategy;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -103,6 +103,23 @@ fn noisy_frame_sim(n: usize) -> Simulator {
     Simulator::with_config(dev, NoiseConfig::default())
 }
 
+/// `sc` compiled at `seed` for the serial oracle and for the batch
+/// engine.
+fn serial_and_batch(
+    sim: &Simulator,
+    sc: &ScheduledCircuit,
+    seed: u64,
+) -> (CompiledCircuit, CompiledCircuit) {
+    let on = |engine| {
+        let sim = Simulator {
+            engine,
+            ..sim.clone()
+        };
+        sim.compile(sc, seed).unwrap()
+    };
+    (on(Engine::Stabilizer), on(Engine::FrameBatch))
+}
+
 /// Expected TVD between two empirical distributions of `shots`
 /// samples each is bounded by ~√(K/shots); this threshold gives wide
 /// margin while still catching real disagreements.
@@ -179,12 +196,9 @@ proptest! {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
         let ins = random_insertions(&sc, shots, 1 + shots / 2, seed ^ 0xABCD);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts_with_insertions(&sc, shots, seed, &ins).unwrap();
-        let b = batch
-            .run_counts_with_insertions(&sc, shots, seed, &ins, None)
-            .unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let a = serial.run_counts(shots, &ins, None).unwrap();
+        let b = batch.run_counts(shots, &ins, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 
@@ -199,10 +213,10 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, shots, seed).unwrap();
-        let b = batch.run_counts(&sc, shots, seed).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let none = InsertionSet::empty();
+        let a = serial.run_counts(shots, &none, None).unwrap();
+        let b = batch.run_counts(shots, &none, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 }
@@ -225,11 +239,11 @@ fn batch_and_serial_counts_are_bit_identical_with_full_noise() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
+    let none = InsertionSet::empty();
     for seed in [1u64, 42, 977] {
-        let a = serial.run_counts(&sc, 1000, seed).unwrap();
-        let b = batch.run_counts(&sc, 1000, seed).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let a = serial.run_counts(1000, &none, None).unwrap();
+        let b = batch.run_counts(1000, &none, None).unwrap();
         assert_eq!(a, b, "seed {seed}");
         assert_eq!(a.shots, 1000);
     }
@@ -249,12 +263,11 @@ fn batch_counts_and_expectations_identical_across_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let batch = BatchedFrameEngine::new(&sim);
-    let counts1 = batch.run_counts_with_workers(&sc, 777, 5, Some(1)).unwrap();
+    let (_, batch) = serial_and_batch(&sim, &sc, 5);
+    let none = InsertionSet::empty();
+    let counts1 = batch.run_counts(777, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
-        let got = batch
-            .run_counts_with_workers(&sc, 777, 5, Some(workers))
-            .unwrap();
+        let got = batch.run_counts(777, &none, Some(workers)).unwrap();
         assert_eq!(counts1, got, "counts differ at {workers} workers");
     }
 
@@ -266,12 +279,11 @@ fn batch_counts_and_expectations_identical_across_worker_counts() {
         PauliString::parse("IIXXI").unwrap(),
         PauliString::parse("IIIIZ").unwrap(),
     ];
-    let e1 = batch
-        .expect_paulis_with_workers(&sco, &obs, 777, 5, Some(1))
-        .unwrap();
+    let (_, batch) = serial_and_batch(&sim, &sco, 5);
+    let e1 = batch.expect_paulis(&obs, 777, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
         let got = batch
-            .expect_paulis_with_workers(&sco, &obs, 777, 5, Some(workers))
+            .expect_paulis(&obs, 777, &none, Some(workers))
             .unwrap();
         assert_eq!(e1, got, "expectations differ at {workers} workers");
     }
@@ -296,24 +308,21 @@ fn pec_sampled_counts_identical_across_engines_and_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
     for (shots, seed) in [(333usize, 3u64), (1001, 41)] {
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
         let ins = random_insertions(&sc, shots, 2 * shots, seed);
-        let reference = serial
-            .run_counts_with_insertions(&sc, shots, seed, &ins)
-            .unwrap();
+        let reference = serial.run_counts(shots, &ins, None).unwrap();
         for workers in [1usize, 2, 8] {
-            let got = batch
-                .run_counts_with_insertions(&sc, shots, seed, &ins, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(shots, &ins, Some(workers)).unwrap();
             assert_eq!(
                 reference, got,
                 "shots {shots} seed {seed} workers {workers}"
             );
         }
         // And the insertions really change the sampled distribution.
-        let plain = serial.run_counts(&sc, shots, seed).unwrap();
+        let plain = serial
+            .run_counts(shots, &InsertionSet::empty(), None)
+            .unwrap();
         assert_ne!(reference, plain, "insertions must act");
     }
 }
@@ -337,19 +346,16 @@ fn pec_per_shot_flips_identical_across_engines_and_worker_counts() {
     let shots = 200;
     let seed = 17;
     let ins = random_insertions(&sc, shots, shots, seed);
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
-    let reference = serial.expect_flips(&sc, &obs, shots, seed, &ins).unwrap();
+    let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+    let reference = serial.expect_flips(&obs, shots, &ins, None).unwrap();
     for workers in [1usize, 2, 8] {
         let got = batch
-            .expect_flips(&sc, &obs, shots, seed, &ins, Some(workers))
+            .expect_flips(&obs, shots, &ins, Some(workers))
             .unwrap();
         assert_eq!(reference, got, "{workers} workers");
     }
     // The per-shot means agree with the aggregate expectation API.
-    let means = batch
-        .expect_paulis_with_insertions(&sc, &obs, shots, seed, &ins, None)
-        .unwrap();
+    let means = batch.expect_paulis(&obs, shots, &ins, None).unwrap();
     for (o, m) in means.iter().enumerate() {
         assert_eq!(reference.mean(o), *m, "observable {o}");
     }
@@ -603,10 +609,10 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, shots, seed).unwrap();
-        let b = batch.run_counts(&sc, shots, seed).unwrap();
+        let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+        let none = InsertionSet::empty();
+        let a = serial.run_counts(shots, &none, None).unwrap();
+        let b = batch.run_counts(shots, &none, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 }
@@ -630,18 +636,16 @@ fn dynamic_counts_identical_across_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
-    let reference = batch.run_counts_with_workers(&sc, 901, 5, Some(1)).unwrap();
+    let (serial, batch) = serial_and_batch(&sim, &sc, 5);
+    let none = InsertionSet::empty();
+    let reference = batch.run_counts(901, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
-        let got = batch
-            .run_counts_with_workers(&sc, 901, 5, Some(workers))
-            .unwrap();
+        let got = batch.run_counts(901, &none, Some(workers)).unwrap();
         assert_eq!(reference, got, "counts differ at {workers} workers");
     }
     assert_eq!(
         reference,
-        serial.run_counts(&sc, 901, 5).unwrap(),
+        serial.run_counts(901, &none, None).unwrap(),
         "serial engine must agree bit-for-bit"
     );
 }
@@ -688,7 +692,7 @@ fn reset_equals_measure_plus_conditional_x() {
 }
 
 /// Session/plan-cache identity: a cached rerun of a job must be
-/// bit-identical to the cold compile *and* to the direct engine entry
+/// bit-identical to the cold compile *and* to the one-shot entry
 /// points — counts and per-shot flips, at an odd shot count spanning
 /// a partial tail word, for pinned worker counts 1/2/8. Runs with the
 /// cache both enabled and disabled in CI via `CA_SIM_PLAN_CACHE`.
@@ -712,16 +716,17 @@ fn session_cached_runs_are_bit_identical_to_cold_compiles() {
 
     let sim_batch = Simulator::with_engine(sim.device.clone(), sim.config, Engine::FrameBatch);
     let session = Session::new(sim_batch.clone());
-    let batch = BatchedFrameEngine::new(&sim_batch);
     let none = InsertionSet::empty();
 
-    let direct_counts = batch.run_counts(&sc, shots, seed).unwrap();
+    let direct_counts = sim_batch.run_counts(&sc, shots, seed).unwrap();
     let obs = [
         PauliString::parse("ZZIII").unwrap(),
         PauliString::parse("IIZZI").unwrap(),
     ];
-    let direct_flips = batch
-        .expect_flips(&sc, &obs, shots, seed, &none, None)
+    let direct_flips = sim_batch
+        .compile(&sc, seed)
+        .unwrap()
+        .expect_flips(&obs, shots, &none, None)
         .unwrap();
 
     for round in 0..2 {
@@ -795,16 +800,16 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let off = with_obs_level(ca_obs::Level::Off, || (
-            serial.run_counts(&sc, shots, seed).unwrap(),
-            batch.run_counts(&sc, shots, seed).unwrap(),
-        ));
-        let on = with_obs_level(ca_obs::Level::Summary, || (
-            serial.run_counts(&sc, shots, seed).unwrap(),
-            batch.run_counts(&sc, shots, seed).unwrap(),
-        ));
+        let none = InsertionSet::empty();
+        let run = || {
+            let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+            (
+                serial.run_counts(shots, &none, None).unwrap(),
+                batch.run_counts(shots, &none, None).unwrap(),
+            )
+        };
+        let off = with_obs_level(ca_obs::Level::Off, run);
+        let on = with_obs_level(ca_obs::Level::Summary, run);
         prop_assert_eq!(&off.0, &off.1, "serial vs batch (obs off)");
         prop_assert_eq!(off, on, "obs must be invisible: shots {} seed {}", shots, seed);
     }
@@ -824,14 +829,14 @@ proptest! {
             PauliString::parse("IXXII").unwrap(),
         ];
         let ins = random_insertions(&sc, shots, 1 + shots / 2, seed ^ 0x5A5A);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
         let off = with_obs_level(ca_obs::Level::Off, || {
-            serial.expect_flips(&sc, &obs, shots, seed, &ins).unwrap()
+            let (serial, _) = serial_and_batch(&sim, &sc, seed);
+            serial.expect_flips(&obs, shots, &ins, None).unwrap()
         });
         for workers in [1usize, 2, 8] {
             let on = with_obs_level(ca_obs::Level::Summary, || {
-                batch.expect_flips(&sc, &obs, shots, seed, &ins, Some(workers)).unwrap()
+                let (_, batch) = serial_and_batch(&sim, &sc, seed);
+                batch.expect_flips(&obs, shots, &ins, Some(workers)).unwrap()
             });
             prop_assert_eq!(
                 &off, &on,
@@ -843,7 +848,7 @@ proptest! {
 
 /// The twirl-ensemble shared-schedule fast path must agree bit for
 /// bit with compiling every instance independently through the full
-/// pass pipeline — the soundness contract of `CompiledCircuit::redress`.
+/// pass pipeline — the soundness contract of `Session::compiled_dressed`.
 #[test]
 fn twirl_ensemble_fast_path_matches_independent_compilation() {
     use ca_core::{compile, compile_twirl_ensemble, CompileOptions};
@@ -903,7 +908,7 @@ fn twirl_ensemble_fast_path_matches_independent_compilation() {
                 fast[i], slow,
                 "{strategy:?} seed {seed}: ensemble must be bit-identical"
             );
-            // And the serial engine agrees with the redressed batch
+            // And the serial engine agrees with the dressed batch
             // artifact too.
             let serial = Simulator::with_engine(device.clone(), noise, Engine::Stabilizer);
             let serial_vals = serial
@@ -999,14 +1004,11 @@ fn spectator_circuit(measured: bool) -> Circuit {
 /// Counts at workers 1/2/3 against the serial engine.
 fn assert_counts_match_serial(sim: &Simulator, qc: &Circuit, shots: usize, seed: u64) {
     let sc = schedule_asap(qc, GateDurations::default());
-    let serial = StabilizerEngine::new(sim)
-        .run_counts(&sc, shots, seed)
-        .unwrap();
-    let batch = BatchedFrameEngine::new(sim);
+    let (serial, batch) = serial_and_batch(sim, &sc, seed);
+    let none = InsertionSet::empty();
+    let serial = serial.run_counts(shots, &none, None).unwrap();
     for workers in [1usize, 2, 3] {
-        let got = batch
-            .run_counts_with_workers(&sc, shots, seed, Some(workers))
-            .unwrap();
+        let got = batch.run_counts(shots, &none, Some(workers)).unwrap();
         assert_eq!(serial, got, "shots {shots} seed {seed} workers {workers}");
     }
 }
@@ -1045,13 +1047,12 @@ fn pruned_expectations_with_every_letter_match_serial() {
         PauliString::parse("IIXXIIII").unwrap(),
         PauliString::parse("YIYIIIIZ").unwrap(),
     ];
-    let serial = StabilizerEngine::new(&sim)
-        .expect_paulis(&sc, &obs, 777, 13)
-        .unwrap();
-    let batch = BatchedFrameEngine::new(&sim);
+    let (serial, batch) = serial_and_batch(&sim, &sc, 13);
+    let none = InsertionSet::empty();
+    let serial = serial.expect_paulis(&obs, 777, &none, None).unwrap();
     for workers in [1usize, 2, 3] {
         let got = batch
-            .expect_paulis_with_workers(&sc, &obs, 777, 13, Some(workers))
+            .expect_paulis(&obs, 777, &none, Some(workers))
             .unwrap();
         assert_eq!(serial, got, "{workers} workers");
     }
@@ -1067,13 +1068,11 @@ fn pruned_flips_with_pec_insertions_match_serial() {
     ];
     let (shots, seed) = (600, 29);
     let ins = random_insertions(&sc, shots, shots, seed);
-    let serial = StabilizerEngine::new(&sim)
-        .expect_flips(&sc, &obs, shots, seed, &ins)
-        .unwrap();
-    let batch = BatchedFrameEngine::new(&sim);
+    let (serial, batch) = serial_and_batch(&sim, &sc, seed);
+    let serial = serial.expect_flips(&obs, shots, &ins, None).unwrap();
     for workers in [1usize, 2, 3] {
         let got = batch
-            .expect_flips(&sc, &obs, shots, seed, &ins, Some(workers))
+            .expect_flips(&obs, shots, &ins, Some(workers))
             .unwrap();
         assert_eq!(serial, got, "{workers} workers");
     }
