@@ -89,8 +89,11 @@ pub struct LearnedLayer {
     pub lf: f64,
     /// Raw fitted λ per partition per Pauli index (index 0 unused).
     pub raw_lambdas: Vec<Vec<f64>>,
-    /// Engine the decay circuits ran on (`"frame-batch"` for
-    /// Clifford strategies).
+    /// Every engine the decay circuits ran on: the distinct engine
+    /// names, sorted and joined by `+`. `"frame-batch"` for Clifford
+    /// strategies; a non-Clifford strategy whose compiled circuits
+    /// are Clifford only for some twirl instances reads
+    /// `"frame-batch+statevector"`.
     pub engine: String,
 }
 
@@ -192,7 +195,7 @@ pub fn learn_layer_channel(
     let mut auto_jobs: Vec<Job> = Vec::new();
     // Per (e, depth index): (on_frame_session, job index) per instance.
     let mut tags: Vec<Vec<Vec<(bool, usize)>>> = Vec::with_capacity(experiments);
-    let mut engine_name = String::new();
+    let mut engines = std::collections::BTreeSet::new();
     for e in 0..experiments {
         // This experiment's Pauli index per partition (1-based; every
         // partition is exercised in every experiment).
@@ -251,7 +254,7 @@ pub fn learn_layer_channel(
                 } else {
                     &auto_session
                 };
-                engine_name = session.simulator().engine_name_for(&sc)?.to_string();
+                engines.insert(session.simulator().engine_name_for(&sc)?);
                 let job = Job::expect(sc, observables.clone(), config.shots, seed ^ 0x77);
                 let jobs = if on_frame {
                     &mut frame_jobs
@@ -343,7 +346,7 @@ pub fn learn_layer_channel(
         channel,
         lf,
         raw_lambdas,
-        engine: engine_name,
+        engine: engines.into_iter().collect::<Vec<_>>().join("+"),
     })
 }
 
@@ -386,6 +389,23 @@ mod tests {
         assert_eq!(learned.engine, "frame-batch");
         assert!((learned.lf - 1.0).abs() < 1e-9, "LF {}", learned.lf);
         assert!((learned.channel.partitions[0].probs[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn engine_names_every_engine_the_learn_used() {
+        // Some of CA-EC's compiled decay circuits on this layer carry
+        // no non-Clifford compensation and run on frame-batch, the
+        // rest on the dense engine: the learn must name both.
+        let dev = line_device(2, 70.0);
+        let cfg = LearnConfig {
+            depths: vec![1, 2],
+            shots: 16,
+            instances: 2,
+            ..LearnConfig::quick(2)
+        };
+        let learned =
+            learn_layer_channel(&dev, Strategy::CaEc, &[(0, 1)], &[vec![0, 1]], &cfg).unwrap();
+        assert_eq!(learned.engine, "frame-batch+statevector");
     }
 
     #[test]

@@ -7,42 +7,49 @@
 //! XOR/AND operations — the standard Stim-style batching that turns
 //! the per-gate cost from O(shots) into O(shots/64).
 //!
+//! ## One program, two interpreters
+//!
+//! The pending Z/ZZ banks are RNG-*independent* (the stochastic rate
+//! multiplies the signed time only at flush), so `BatchPlan::from_frame`
+//! walks them **once per circuit** into a linear, seed-free [`BatchOp`]
+//! program: the only code that accrues, toggles and flushes banks. The
+//! serial engine ([`crate::Engine::Stabilizer`]) interprets it one shot
+//! at a time, this engine 64 lanes per word.
+//!
 //! ## Why the counts are bit-identical to the serial engine
 //!
 //! Ignoring signs (frames never need them), conjugation by a Clifford
 //! acts **GF(2)-linearly** on a Pauli's symplectic bits: the image of
 //! `Y = i·XZ` is the XOR of the images of `X` and `Z`. Each cached
 //! conjugation table therefore collapses to a tiny GF(2) matrix
-//! ([`Symp1`]: 2×2, [`Symp2`]: 4×4) applied word-wise — exactly the
-//! same frame update the serial engine performs one shot at a time.
+//! ([`Symp1`]: 2×2, [`Symp2`]: 4×4), which this engine applies
+//! word-wise and the serial engine one bit at a time.
 //!
-//! Noise needs per-shot randomness, and here two serial-path
-//! invariants pay off:
-//!
-//! * every noise draw is a pure hash of `(seed, shot, site)`
-//!   ([`crate::plan::shot_site_seed`]), where the site names the
-//!   draw's structural location (noise class, plan-op index,
-//!   qubit/edge — [`crate::plan::site`]). A uniform draw is read
-//!   MSB-first as bit-planes ([`crate::plan::plane`]), each a hash of
-//!   `(seed, 64-shot word, site, k)` whose bit `j` belongs to lane
-//!   `j`. The serial engine reads its one lane bit from the same
-//!   planes ([`crate::plan::lt_lane`]), so lane `j` of word `w`
-//!   makes exactly the decisions shot `64·w + j` makes, whatever
-//!   order either engine evaluates them in;
-//! * the pending Z/ZZ banks are RNG-*independent* (the stochastic
-//!   rate multiplies the signed time only at flush), so the entire
-//!   bank evolution is precomputed **once per circuit** into a
-//!   linear, seed-free [`BatchOp`] program (a seed only picks the
-//!   reference bits a run compares against). At run time a strip
-//!   hashes every op's noise masks 64 lanes per word and then
-//!   applies them to the planes word-wise.
+//! Every noise draw is a pure hash of `(seed, shot, site)`
+//! ([`crate::plan::shot_site_seed`]), where the site names the draw's
+//! structural location (noise class, plan-op index, qubit/edge —
+//! [`crate::plan::site`]). A uniform draw is read MSB-first as
+//! bit-planes ([`crate::plan::plane`]), each a hash of
+//! `(seed, 64-shot word, site, k)` whose bit `j` belongs to lane `j`.
+//! The serial engine reads its one lane bit from the same planes
+//! ([`crate::plan::lt_lane`]), so lane `j` of word `w` makes exactly
+//! the decisions shot `64·w + j` makes, whatever order either engine
+//! evaluates them in. At run time a strip hashes every op's noise masks
+//! 64 lanes per word and then applies them to the planes word-wise.
 //!
 //! The result: classical counts are bit-for-bit equal to the serial
-//! engine's ([`crate::Engine::Stabilizer`]) for any seed, any shot
-//! count (tail strips simply run fewer lanes), and any worker-thread
-//! count (strips are independent; expectation sums are reduced in
-//! strip order, and each shot contributes an integer ±1, so even the
-//! f64 accumulations are exact).
+//! engine's for any seed, any shot count (tail strips simply run fewer
+//! lanes), and any worker-thread count (strips are independent;
+//! expectation sums are reduced in strip order, and each shot
+//! contributes an integer ±1, so even the f64 accumulations are
+//! exact).
+//!
+//! That equality checks what this engine does bit-parallel: block
+//! ladders, per-lane noise codes and bank tables (the serial engine
+//! computes each flush threshold itself and never reads the tables),
+//! output-cone pruning, sharding and strip reductions. The bank walk
+//! both share is checked against the dense engine
+//! (`frame_batch_bank_draws_match_dense_ramsey`).
 //!
 //! ## Output-cone pruning
 //!
@@ -91,7 +98,7 @@ use crate::pauli_frame::{FramePlan, ItemOp, RefBits};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, ladder_step, lattice_idx,
     lattice_value, lt_mask, lt_masks, map_batches, pick, plane, shot_key, site, site_draw,
-    worker_count, PlanOp, LADDER_BLOCK, LATTICE_STEPS,
+    worker_count, ExecutionPlan, PlanOp, LADDER_BLOCK, LATTICE_STEPS,
 };
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::{pauli_to_bits, Tableau};
@@ -116,7 +123,7 @@ pub const STRIP_SHOTS: usize = STRIP_WORDS * LANES;
 /// The GF(2) symplectic action of a 1q Clifford on one qubit's
 /// `(x, z)` frame bits, as lane masks (all-ones or all-zeros).
 #[derive(Clone, Copy)]
-struct Symp1 {
+pub(crate) struct Symp1 {
     /// x-input contribution to the x output.
     xx: u64,
     /// z-input contribution to the x output.
@@ -151,7 +158,7 @@ impl Symp1 {
     }
 
     #[inline]
-    fn apply(&self, x: u64, z: u64) -> (u64, u64) {
+    pub(crate) fn apply(&self, x: u64, z: u64) -> (u64, u64) {
         ((x & self.xx) ^ (z & self.xz), (x & self.zx) ^ (z & self.zz))
     }
 }
@@ -159,7 +166,7 @@ impl Symp1 {
 /// The GF(2) symplectic action of a 2q Clifford on `(x_a, z_a, x_b,
 /// z_b)`: `mat[out][in]` lane masks.
 #[derive(Clone, Copy)]
-struct Symp2 {
+pub(crate) struct Symp2 {
     mat: [[u64; 4]; 4],
 }
 
@@ -224,7 +231,7 @@ impl Symp2 {
     }
 
     #[inline]
-    fn apply(&self, v: [u64; 4]) -> [u64; 4] {
+    pub(crate) fn apply(&self, v: [u64; 4]) -> [u64; 4] {
         let mut out = [0u64; 4];
         for (o, slot) in out.iter_mut().enumerate() {
             let row = &self.mat[o];
@@ -235,40 +242,46 @@ impl Symp2 {
 }
 
 /// One crosstalk edge flushing at a [`BatchOp::Flush`] point.
-struct FlushEdge {
-    a: usize,
-    b: usize,
+pub(crate) struct FlushEdge {
+    pub(crate) a: usize,
+    pub(crate) b: usize,
     /// Plan edge index — the site unit (`FLUSH_ZZ` draws are
     /// addressed per edge, not per qubit).
-    e: usize,
+    pub(crate) e: usize,
     /// `bern_theta(θ)` — the ladder threshold of the edge's draw.
-    t: u64,
+    pub(crate) t: u64,
 }
 
-/// One step of the precompiled batch program. The sequence of ops —
-/// and the draws each op makes per lane — mirrors the serial
-/// sampler's per-shot control flow exactly. Each op carries its
-/// plan-op index `op`, which addresses the counter-based draws by
-/// structural site, so the walk order does not matter.
-enum BatchOp {
+/// One step of the precompiled frame program — the one description
+/// of the bank evolution. Two interpreters run it: the strip runner
+/// ([`BatchPlan::run_strip`]) 64 lanes per word, and the serial engine
+/// one shot at a time (`BatchPlan::shot` in [`crate::pauli_frame`]).
+/// Each op carries its plan-op index `op`, which addresses the
+/// counter-based draws by structural site, so the walk order does not
+/// matter.
+pub(crate) enum BatchOp {
     /// A twirl-flush point for qubit `q`.
     Flush {
         q: usize,
         /// Plan-op index of this flush (site addressing). The final
         /// end-of-circuit flushes use `plan.ops.len()`.
         op: usize,
-        /// Bank thresholds by per-lane noise code
-        /// (`slot · 33 + lattice index`, see [`BatchPlan::bank_table`]);
-        /// absent when the deterministic bank phase and signed time
-        /// are both exactly zero (no draw on any lane, matching the
-        /// serial `|θ| > ε` gate).
+        /// Deterministic phase of the flushed Z bank (0.0 when the
+        /// bank is empty).
+        stat: f64,
+        /// Signed idle time of the flushed Z bank, which the shot's
+        /// stochastic Z rate multiplies (0.0 when the bank is empty).
+        time: f64,
+        /// The strip runner's thresholds from `stat` and `time` by
+        /// per-lane noise code (`slot · 33 + lattice index`, see
+        /// [`bank_table`]); absent when both are exactly zero (no
+        /// draw on any lane). The serial engine never reads it.
         table: Option<Arc<[u64]>>,
         /// Every threshold in `table` is below 2⁵⁶: the top bytes the
         /// sampling pass would transpose are all zero, so it skips
         /// the transpose.
         top_zero: bool,
-        /// Crosstalk edges flushing here, in the serial engine's
-        /// incident-edge order.
+        /// Crosstalk edges flushing here, in incident-edge order.
         edges: Vec<FlushEdge>,
         /// `(γ, p_z)` of the decoherence twirl, when enabled and the
         /// qubit accrued idle time.
@@ -434,14 +447,14 @@ impl Liveness {
     }
 }
 
-/// The seed-free batch program.
+/// The seed-free frame program both frame engines run.
 ///
 /// Owns its data like [`FramePlan`]: a fully compiled, cacheable
 /// `Send + Sync` artifact (the session layer stores one per circuit
 /// behind an [`std::sync::Arc`] and shares it across seeds and runs).
 pub struct BatchPlan {
     pub(crate) frame: FramePlan,
-    ops: Vec<BatchOp>,
+    pub(crate) ops: Vec<BatchOp>,
     n: usize,
     /// Per op: index of its first noise site (see [`Liveness`]).
     site_base: Vec<usize>,
@@ -561,162 +574,182 @@ fn bank_mask(base: u64, table: &[u64], codes: &[u8], top_zero: bool) -> u64 {
     zm
 }
 
+/// The scalar pending banks of the one bank walk
+/// ([`BatchPlan::from_frame`]), and the program it emits.
+struct Banks<'a> {
+    sim: &'a Simulator,
+    plan: &'a ExecutionPlan,
+    /// Per qubit: the Z bank's deterministic phase.
+    stat: Vec<f64>,
+    /// Per qubit: the Z bank's signed idle time.
+    time: Vec<f64>,
+    /// Per plan edge: the ZZ bank's phase.
+    rzz: Vec<f64>,
+    /// Per qubit: idle time since its last decoherence twirl.
+    deco_dt: Vec<f64>,
+    /// Bank tables memoized on the exact f64 inputs: a homogeneous
+    /// brickwork workload produces only a handful of distinct
+    /// (stat, time, δ, σ) combinations, so the 99-entry sin tables
+    /// cost next to nothing at compile time.
+    tables: BTreeMap<(u64, u64, u64, u64), Arc<[u64]>>,
+    ops: Vec<BatchOp>,
+}
+
+impl Banks<'_> {
+    /// Twirls qubit `q`'s banks at plan op `op_i`: emits one
+    /// [`BatchOp::Flush`] for its Z bank, the nonzero ZZ banks of its
+    /// incident edges and its accrued decoherence, and empties them.
+    /// Emits nothing when all three are empty.
+    fn flush(&mut self, q: usize, op_i: usize) {
+        let (config, plan) = (&self.sim.config, self.plan);
+        let cal = &self.sim.device.calibration.qubits[q];
+        let (stat, time) = (self.stat[q], self.time[q]);
+        self.stat[q] = 0.0;
+        self.time[q] = 0.0;
+        let table = (stat != 0.0 || time != 0.0).then(|| {
+            let cp = if config.charge_parity && cal.charge_parity_khz > 0.0 {
+                cal.charge_parity_khz
+            } else {
+                0.0
+            };
+            let qk = if config.quasistatic && cal.quasistatic_khz > 0.0 {
+                cal.quasistatic_khz
+            } else {
+                0.0
+            };
+            self.tables
+                .entry((stat.to_bits(), time.to_bits(), cp.to_bits(), qk.to_bits()))
+                .or_insert_with(|| bank_table(stat, time, cp, qk))
+                .clone()
+        });
+        let top_zero = table
+            .as_ref()
+            .is_some_and(|t| t.iter().all(|&v| v >> 56 == 0));
+        let mut edges = Vec::new();
+        for &e in &plan.incident[q] {
+            let th = self.rzz[e];
+            if th.abs() > 1e-15 {
+                self.rzz[e] = 0.0;
+                let (a, b) = plan.edge_pairs[e];
+                edges.push(FlushEdge {
+                    a,
+                    b,
+                    e,
+                    t: bern_theta(th),
+                });
+            }
+        }
+        let deco = if config.decoherence && self.deco_dt[q] > 0.0 {
+            let dt = self.deco_dt[q];
+            self.deco_dt[q] = 0.0;
+            Some((
+                damping_prob(dt, cal.t1_us),
+                dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us)),
+            ))
+        } else {
+            None
+        };
+        if table.is_some() || !edges.is_empty() || deco.is_some() {
+            self.ops.push(BatchOp::Flush {
+                q,
+                op: op_i,
+                stat,
+                time,
+                table,
+                top_zero,
+                edges,
+                deco,
+            });
+        }
+    }
+}
+
 impl BatchPlan {
-    /// Builds the frame plan and compiles the scheduled circuit +
-    /// noise timeline into the linear batch program by replaying the
-    /// serial sampler's control flow once with scalar banks. The
-    /// program is seed-free: runs take the seed's reference bits
-    /// ([`FramePlan::reference`]) separately, so one program serves
-    /// every seed of a circuit.
+    /// Builds the frame plan and compiles it into the frame program
+    /// (see [`Self::from_frame`]).
     #[cfg(test)]
     pub(crate) fn build(
         sim: &Simulator,
         sc: &ca_circuit::ScheduledCircuit,
     ) -> Result<Self, SimError> {
-        Ok(Self::from_frame(sim, FramePlan::build(sim, sc)?))
+        let sc = Arc::new(sc.clone());
+        let plan = ExecutionPlan::build_arc(sc.clone(), &sim.device, &sim.config)?;
+        let frame = FramePlan::build_with_plan(sc, Arc::new(plan))?;
+        Ok(Self::from_frame(sim, frame))
     }
 
-    /// Compiles the batch program for an already-built frame plan.
-    /// The program replays the instance's own bank toggles (twirl
-    /// X/Y pulses flip bank signs), so every twirl instance compiles
-    /// its own program over the shared timeline plan.
+    /// Compiles the frame program for an already-built frame plan:
+    /// the one walk of the pending Z/ZZ banks. It accrues the
+    /// timeline's phases and signed times in scalar banks, negates
+    /// them at pulses that conjugate `Z → −Z`, and emits a
+    /// [`BatchOp::Flush`] wherever the frame model twirls them; both
+    /// frame engines interpret the result. The program is seed-free:
+    /// runs take the seed's reference bits ([`FramePlan::reference`])
+    /// separately, so one program serves every seed of a circuit. It
+    /// follows the instance's own bank toggles (twirl X/Y pulses flip
+    /// bank signs), so every twirl instance compiles its own program
+    /// over the shared timeline plan.
     pub(crate) fn from_frame(sim: &Simulator, frame: FramePlan) -> Self {
         let _s = ca_obs::span("sim.compile", "batch-program");
         let n = frame.sc.num_qubits;
         let config = &sim.config;
-        let plan = &frame.plan;
-
-        let mut ops: Vec<BatchOp> = Vec::new();
-        let mut stat = vec![0.0f64; n];
-        let mut time = vec![0.0f64; n];
-        let mut rzz = vec![0.0f64; plan.edge_pairs.len()];
-        let mut deco_dt = vec![0.0f64; n];
+        let plan = &*frame.plan;
+        let mut banks = Banks {
+            sim,
+            plan,
+            stat: vec![0.0; n],
+            time: vec![0.0; n],
+            rzz: vec![0.0; plan.edge_pairs.len()],
+            deco_dt: vec![0.0; n],
+            tables: BTreeMap::new(),
+            ops: Vec::new(),
+        };
         let mut meas_i = 0usize;
 
-        // Only qubits an item can flush or negate mid-stream need
-        // their signed time accrued segment by segment; every other
-        // qubit's bank is read exactly once (at the final flush), so
-        // their accrual collapses to one shared scalar. Idle sign is
-        // +1, so the shared accumulator performs the identical f64
-        // add sequence the dense per-qubit walk performed — the final
-        // bank values are bit-identical (see [`FramePlan::streamed`]).
-        let streamed = &frame.streamed;
-        let streamed_list = &frame.streamed_list;
-        let mut idle_elapsed = 0.0f64;
-
-        // Bank tables are memoized on the exact f64 inputs: a
-        // homogeneous brickwork workload produces only a handful of
-        // distinct (stat, time, δ, σ) combinations, so the 99-entry
-        // sin tables cost next to nothing at compile time.
-        type TableKey = (u64, u64, u64, u64);
-        let mut tables: BTreeMap<TableKey, Arc<[u64]>> = BTreeMap::new();
-
-        let emit_flush = |q: usize,
-                          op_i: usize,
-                          stat: &mut [f64],
-                          time: &mut [f64],
-                          rzz: &mut [f64],
-                          deco_dt: &mut [f64],
-                          tables: &mut BTreeMap<TableKey, Arc<[u64]>>,
-                          ops: &mut Vec<BatchOp>| {
-            let cal = &sim.device.calibration.qubits[q];
-            let bank = if stat[q] != 0.0 || time[q] != 0.0 {
-                let b = (stat[q], time[q]);
-                stat[q] = 0.0;
-                time[q] = 0.0;
-                Some(b)
-            } else {
-                None
-            };
-            let table = bank.map(|(s, t)| {
-                let cp = if config.charge_parity && cal.charge_parity_khz > 0.0 {
-                    cal.charge_parity_khz
-                } else {
-                    0.0
-                };
-                let qk = if config.quasistatic && cal.quasistatic_khz > 0.0 {
-                    cal.quasistatic_khz
-                } else {
-                    0.0
-                };
-                tables
-                    .entry((s.to_bits(), t.to_bits(), cp.to_bits(), qk.to_bits()))
-                    .or_insert_with(|| bank_table(s, t, cp, qk))
-                    .clone()
-            });
-            let top_zero = table
-                .as_ref()
-                .is_some_and(|t| t.iter().all(|&v| v >> 56 == 0));
-            let mut edges = Vec::new();
-            for &e in &plan.incident[q] {
-                let th = rzz[e];
-                if th.abs() > 1e-15 {
-                    rzz[e] = 0.0;
-                    let (a, b) = plan.edge_pairs[e];
-                    edges.push(FlushEdge {
-                        a,
-                        b,
-                        e,
-                        t: bern_theta(th),
-                    });
+        // Only qubits an item can flush or negate mid-stream (those an
+        // `Apply` or `Project` op touches) need their signed time
+        // accrued segment by segment; every other qubit's bank is read
+        // exactly once (at the final flush), so their accrual
+        // collapses to one shared scalar. Idle sign is +1, so the
+        // shared accumulator performs the identical f64 add sequence
+        // a per-qubit walk would — the final bank values are
+        // bit-identical.
+        let mut streamed = vec![false; n];
+        for op in plan.ops.iter() {
+            if let PlanOp::Project { item } | PlanOp::Apply { item } = *op {
+                for &q in &frame.sc.items[item].instruction.qubits {
+                    streamed[q] = true;
                 }
             }
-            let deco = if config.decoherence && deco_dt[q] > 0.0 {
-                let dt = deco_dt[q];
-                deco_dt[q] = 0.0;
-                Some((
-                    damping_prob(dt, cal.t1_us),
-                    dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us)),
-                ))
-            } else {
-                None
-            };
-            if table.is_some() || !edges.is_empty() || deco.is_some() {
-                ops.push(BatchOp::Flush {
-                    q,
-                    op: op_i,
-                    table,
-                    top_zero,
-                    edges,
-                    deco,
-                });
-            }
-        };
+        }
+        let streamed_list: Vec<usize> = (0..n).filter(|&q| streamed[q]).collect();
+        let mut idle_elapsed = 0.0f64;
 
         for (op_i, op) in plan.ops.iter().enumerate() {
             match *op {
                 PlanOp::Segment(i) => {
                     let seg = &plan.segments[i];
                     for &(q, th) in &seg.rz_static {
-                        stat[q] += th;
+                        banks.stat[q] += th;
                     }
                     for &(e, th) in &plan.seg_edges[i] {
-                        rzz[e] += th;
+                        banks.rzz[e] += th;
                     }
                     let dt = seg.dt();
                     idle_elapsed += dt;
-                    for &q in streamed_list {
-                        time[q] += seg.signed_dt(q);
-                        deco_dt[q] += dt;
+                    for &q in &streamed_list {
+                        banks.time[q] += seg.signed_dt(q);
+                        banks.deco_dt[q] += dt;
                     }
                 }
                 PlanOp::Project { item } => {
                     let si = &frame.sc.items[item];
                     let q = si.instruction.qubits[0];
-                    emit_flush(
-                        q,
-                        op_i,
-                        &mut stat,
-                        &mut time,
-                        &mut rzz,
-                        &mut deco_dt,
-                        &mut tables,
-                        &mut ops,
-                    );
+                    banks.flush(q, op_i);
                     match si.instruction.gate {
                         Gate::Measure => {
                             meas_i += 1;
-                            ops.push(BatchOp::Measure {
+                            banks.ops.push(BatchOp::Measure {
                                 q,
                                 op: op_i,
                                 meas: meas_i - 1,
@@ -726,12 +759,35 @@ impl BatchPlan {
                                     .then(|| sim.device.calibration.qubits[q].readout_err),
                             });
                         }
-                        Gate::Reset => ops.push(BatchOp::Reset { q, op: op_i }),
+                        Gate::Reset => banks.ops.push(BatchOp::Reset { q, op: op_i }),
                         _ => unreachable!(), // ca-lint: allow(panic) -- plan construction guarantees the op kind at this slot
                     }
                 }
                 PlanOp::Apply { item } => {
                     let si = &frame.sc.items[item];
+                    // Depolarizing probabilities of the item's pulse (0
+                    // with gate error off or for a virtual 1q gate); a
+                    // 2q pulse's error scales with its stretch.
+                    let err_1q = |q: usize, pulse: bool| {
+                        let p = sim.device.calibration.qubits[q].gate_err_1q;
+                        if pulse && config.gate_error {
+                            p
+                        } else {
+                            0.0
+                        }
+                    };
+                    let err_2q = |a: usize, b: usize| {
+                        let scale = frame
+                            .sc
+                            .durations
+                            .two_qubit_error_scale(&si.instruction.gate);
+                        let p = sim.device.calibration.gate_err_2q(a, b) * scale;
+                        if config.gate_error {
+                            p
+                        } else {
+                            0.0
+                        }
+                    };
                     // ca-lint: allow(panic) -- plan construction guarantees unitary items at Apply ops
                     match frame.items[item].as_ref().expect("unitary item") {
                         ItemOp::CondPauli {
@@ -744,27 +800,14 @@ impl BatchPlan {
                         } => {
                             let q = *q;
                             if *physical {
-                                // Shot-independent bank evolution:
-                                // feed-forward pulses flush, exactly
-                                // as the serial sampler does.
-                                emit_flush(
-                                    q,
-                                    op_i,
-                                    &mut stat,
-                                    &mut time,
-                                    &mut rzz,
-                                    &mut deco_dt,
-                                    &mut tables,
-                                    &mut ops,
-                                );
+                                // The bank evolution must stay
+                                // shot-independent, so a feed-forward
+                                // pulse flushes rather than toggling.
+                                banks.flush(q, op_i);
                             }
                             let (x, z) = pauli_to_bits(*pauli);
-                            let err_p = if *physical && config.gate_error {
-                                sim.device.calibration.qubits[q].gate_err_1q
-                            } else {
-                                0.0
-                            };
-                            ops.push(BatchOp::CondGate {
+                            let err_p = err_1q(q, *physical);
+                            banks.ops.push(BatchOp::CondGate {
                                 q,
                                 op: op_i,
                                 x,
@@ -774,25 +817,15 @@ impl BatchPlan {
                                 cond: *cond,
                                 err_p,
                             });
-                            ops.push(BatchOp::Anchor { item });
                         }
                         ItemOp::BankRz { q, theta } => {
-                            stat[*q] += *theta;
-                            ops.push(BatchOp::Anchor { item });
+                            banks.stat[*q] += *theta;
                         }
                         ItemOp::BankRzz { a, b, edge, theta } => {
-                            rzz[*edge] += *theta;
-                            let err_p = if config.gate_error {
-                                let scale = frame
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                sim.device.calibration.gate_err_2q(*a, *b) * scale
-                            } else {
-                                0.0
-                            };
+                            banks.rzz[*edge] += *theta;
+                            let err_p = err_2q(*a, *b);
                             if err_p > 0.0 {
-                                ops.push(BatchOp::Gate2 {
+                                banks.ops.push(BatchOp::Gate2 {
                                     a: *a,
                                     b: *b,
                                     op: op_i,
@@ -800,56 +833,38 @@ impl BatchPlan {
                                     err_p,
                                 });
                             }
-                            ops.push(BatchOp::Anchor { item });
                         }
                         ItemOp::CondBankRz { q, theta, edge } => {
-                            stat[*q] += *theta;
+                            banks.stat[*q] += *theta;
                             if let Some((e, th)) = edge {
-                                rzz[*e] += *th;
+                                banks.rzz[*e] += *th;
                             }
-                            ops.push(BatchOp::Anchor { item });
                         }
                         ItemOp::One { q, table, z_sign } => {
                             let q = *q;
                             match z_sign {
                                 Some(s) => {
                                     if *s < 0 {
-                                        stat[q] = -stat[q];
-                                        time[q] = -time[q];
+                                        banks.stat[q] = -banks.stat[q];
+                                        banks.time[q] = -banks.time[q];
                                         for &e in &plan.incident[q] {
-                                            rzz[e] = -rzz[e];
+                                            banks.rzz[e] = -banks.rzz[e];
                                         }
                                     }
                                 }
-                                None => emit_flush(
-                                    q,
-                                    op_i,
-                                    &mut stat,
-                                    &mut time,
-                                    &mut rzz,
-                                    &mut deco_dt,
-                                    &mut tables,
-                                    &mut ops,
-                                ),
+                                None => banks.flush(q, op_i),
                             }
                             let m = Symp1::from_table(table);
-                            let err_p = if config.gate_error
-                                && !si.instruction.gate.is_virtual()
-                                && !si.instruction.merged
-                            {
-                                sim.device.calibration.qubits[q].gate_err_1q
-                            } else {
-                                0.0
-                            };
+                            let pulse = !si.instruction.gate.is_virtual() && !si.instruction.merged;
+                            let err_p = err_1q(q, pulse);
                             if !m.is_identity() || err_p > 0.0 {
-                                ops.push(BatchOp::Gate1 {
+                                banks.ops.push(BatchOp::Gate1 {
                                     q,
                                     op: op_i,
                                     m,
                                     err_p,
                                 });
                             }
-                            ops.push(BatchOp::Anchor { item });
                         }
                         ItemOp::Two {
                             a,
@@ -859,46 +874,19 @@ impl BatchPlan {
                         } => {
                             let (a, b) = (*a, *b);
                             if !diagonal {
-                                emit_flush(
-                                    a,
-                                    op_i,
-                                    &mut stat,
-                                    &mut time,
-                                    &mut rzz,
-                                    &mut deco_dt,
-                                    &mut tables,
-                                    &mut ops,
-                                );
-                                emit_flush(
-                                    b,
-                                    op_i,
-                                    &mut stat,
-                                    &mut time,
-                                    &mut rzz,
-                                    &mut deco_dt,
-                                    &mut tables,
-                                    &mut ops,
-                                );
+                                banks.flush(a, op_i);
+                                banks.flush(b, op_i);
                             }
-                            let err_p = if config.gate_error {
-                                let scale = frame
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                sim.device.calibration.gate_err_2q(a, b) * scale
-                            } else {
-                                0.0
-                            };
-                            ops.push(BatchOp::Gate2 {
+                            banks.ops.push(BatchOp::Gate2 {
                                 a,
                                 b,
                                 op: op_i,
                                 m: Symp2::from_table(table),
-                                err_p,
+                                err_p: err_2q(a, b),
                             });
-                            ops.push(BatchOp::Anchor { item });
                         }
                     }
+                    banks.ops.push(BatchOp::Anchor { item });
                 }
             }
         }
@@ -908,21 +896,13 @@ impl BatchPlan {
                 // Settle the deferred idle accrual: the shared scalar
                 // holds exactly the value the per-qubit walk would
                 // have accumulated (idle sign is +1 in every segment).
-                time[q] = idle_elapsed;
-                deco_dt[q] = idle_elapsed;
+                banks.time[q] = idle_elapsed;
+                banks.deco_dt[q] = idle_elapsed;
             }
-            emit_flush(
-                q,
-                final_op,
-                &mut stat,
-                &mut time,
-                &mut rzz,
-                &mut deco_dt,
-                &mut tables,
-                &mut ops,
-            );
+            banks.flush(q, final_op);
         }
 
+        let ops = banks.ops;
         let mut site_base = Vec::with_capacity(ops.len());
         let mut sites = n;
         for op in &ops {
@@ -1937,7 +1917,11 @@ mod tests {
 
     #[test]
     fn symplectic_forms_match_tables() {
-        for g in [
+        // Every rotation angle `Gate::is_clifford` admits: k·π/2.
+        let angles: Vec<f64> = (-3..=4)
+            .map(|k| f64::from(k) * std::f64::consts::FRAC_PI_2)
+            .collect();
+        let fixed = [
             Gate::I,
             Gate::X,
             Gate::Y,
@@ -1947,20 +1931,16 @@ mod tests {
             Gate::Sdg,
             Gate::Sx,
             Gate::Sxdg,
-            Gate::Rz(std::f64::consts::FRAC_PI_2),
-        ] {
-            assert!(
-                symp1_matches_table(&conjugation_table_1q(g)),
-                "{}",
-                g.name()
-            );
+        ];
+        let rotations = angles
+            .iter()
+            .flat_map(|&t| [Gate::Rx(t), Gate::Ry(t), Gate::Rz(t)]);
+        for g in fixed.into_iter().chain(rotations) {
+            assert!(g.is_clifford(), "{g:?}");
+            assert!(symp1_matches_table(&conjugation_table_1q(g)), "{g:?}");
         }
-        for g in [
-            Gate::Cx,
-            Gate::Cz,
-            Gate::Ecr,
-            Gate::Rzz(std::f64::consts::FRAC_PI_2),
-        ] {
+        let rzz = angles.iter().map(|&t| Gate::Rzz(t));
+        for g in [Gate::Cx, Gate::Cz, Gate::Ecr].into_iter().chain(rzz) {
             let table = conjugation_table_2q(g);
             let m = Symp2::from_table(&table);
             for idx in 0..16 {
@@ -1975,8 +1955,7 @@ mod tests {
                 assert_eq!(
                     [out[0] == 1, out[1] == 1, out[2] == 1, out[3] == 1],
                     [exa, eza, exb, ezb],
-                    "{} on pair {idx}",
-                    g.name()
+                    "{g:?} on pair {idx}"
                 );
             }
         }
@@ -2020,6 +1999,50 @@ mod tests {
             let b = batch.run_counts(shots, &none, None).unwrap();
             assert_eq!(a, b, "shots {shots} seed {seed}");
         }
+    }
+
+    /// The serial engine computes every bank threshold itself, from
+    /// the flush's factored bank and the shot's own Z rate, and never
+    /// reads the flush's per-code table: with the +δ and −δ
+    /// charge-parity slots of every table swapped (still a valid
+    /// table, of the opposite parity), serial counts stay put while
+    /// batch counts move.
+    #[test]
+    fn serial_engine_never_reads_bank_tables() {
+        let (sim, qc) = noisy_workload();
+        let sc = sched(&qc);
+        let plan = BatchPlan::build(&sim, &sc).unwrap();
+        let mut swapped = BatchPlan::build(&sim, &sc).unwrap();
+        let mut tables = 0;
+        for op in &mut swapped.ops {
+            if let BatchOp::Flush {
+                table: Some(table), ..
+            } = op
+            {
+                let mut t = table.to_vec();
+                let (plus, minus) = t[LATTICE_STEPS..].split_at_mut(LATTICE_STEPS);
+                plus.swap_with_slice(minus);
+                *table = t.into();
+                tables += 1;
+            }
+        }
+        assert!(tables > 0, "the workload flushes banks");
+        let (bits, _) = plan.frame.reference(5);
+        let none = InsertionSet::empty();
+        let params = crate::plan::ShotParams {
+            shots: 500,
+            seed: 5,
+            workers: None,
+            cancel: None,
+        };
+        let serial = plan.serial_counts(&sim, &bits, &none, params).unwrap();
+        let batch = |p: &BatchPlan| p.counts(&sim, &bits, &none, params).unwrap();
+        assert_eq!(batch(&plan), serial);
+        assert_eq!(
+            swapped.serial_counts(&sim, &bits, &none, params).unwrap(),
+            serial
+        );
+        assert_ne!(batch(&swapped), serial, "batch reads the tables");
     }
 
     /// Direct strip-level check, bypassing the dispatch policy: every

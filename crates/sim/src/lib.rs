@@ -71,12 +71,10 @@ pub use cancel::CancelToken;
 pub use engine::{check_gate_arities, Engine, AUTO_DENSE_MAX_QUBITS, DENSE_MAX_QUBITS};
 pub use error::SimError;
 pub use executor::{pack_bits, Simulator};
-pub use frame_batch::{BatchPlan, LANES};
+pub use frame_batch::LANES;
 pub use insert::{InsertionSet, PauliInsertion};
 pub use noise::{NoiseConfig, ShotNoise};
-pub use pauli_frame::{
-    clifford_supports, stabilizer_check, stabilizer_supports, FramePlan, COND_CLBIT_MAX,
-};
+pub use pauli_frame::{clifford_supports, stabilizer_check, stabilizer_supports, COND_CLBIT_MAX};
 pub use plan::ExecutionPlan;
 pub use result::{PauliFlips, RunResult};
 pub use session::{

@@ -5,9 +5,9 @@
 //! ## How noise survives the Clifford approximation
 //!
 //! The dense engine accumulates every coherent Z/ZZ phase in scalar
-//! *pending banks* and applies them exactly. This engine keeps the
-//! identical banks — same timeline segments, same signed-time echo
-//! bookkeeping — but at each *flush point* converts the accumulated
+//! *pending banks* and applies them exactly. The frame engines keep
+//! the identical banks — same timeline segments, same signed-time echo
+//! bookkeeping — but at each *flush point* convert the accumulated
 //! angle θ into its Pauli twirl: a stochastic `Z` (or `Z⊗Z`) flip
 //! with probability `sin²(θ/2)`. Two bank rules make the compiler
 //! physics survive:
@@ -28,17 +28,32 @@
 //! error and readout error are already Pauli/classical channels and
 //! match the dense engine exactly.
 //!
+//! ## One bank walk, two interpreters
+//!
+//! The banks are walked once per circuit, by
+//! `BatchPlan::from_frame`, into the seed-free frame program of
+//! [`crate::frame_batch`] that both frame engines run. This module
+//! lowers a scheduled circuit into the per-item frame actions that
+//! walk reads ([`FramePlan`]), runs the seed's reference tableau, and
+//! holds the serial engine: an interpreter of the program one shot at
+//! a time, with scalar frames and single-lane draws.
+//!
 //! ## Factored pending banks and hashed noise draws
 //!
 //! Per qubit the Z bank is stored *factored* as `(θ_static, t_signed)`
 //! — the deterministic phase plus the signed idle time that the
 //! shot's stochastic Z rate multiplies at flush:
 //! `θ = θ_static + phase_rad(rate, t_signed)`. Both components are
-//! RNG-independent (sign toggles negate both), which is what lets the
-//! bit-parallel [`crate::frame_batch`] engine precompute the entire
-//! bank evolution once per plan and reproduce this sampler's flush
-//! angles — and therefore its random draws — *bit for bit*. Every
-//! noise draw is a pure hash of `(seed, shot, site)`
+//! RNG-independent (sign toggles negate both), which is what lets one
+//! seed-free program carry the entire bank evolution. Each flush op
+//! keeps the factored pair: the serial engine evaluates θ from it with
+//! the shot's own rate, while the batch engine reads a threshold
+//! table precomputed for every per-lane noise code. The serial engine
+//! never reads those tables, so it checks them, with the batch
+//! engine's ladders, output-cone pruning, sharding and reductions.
+//! The bank walk the two share is checked against the dense engine
+//! (`frame_batch_bank_draws_match_dense_ramsey`). Every noise draw is
+//! a pure hash of `(seed, shot, site)`
 //! ([`crate::plan::shot_site_seed`]), so shot `i` makes the same
 //! decisions no matter how shots are chunked over threads or packed
 //! into 64-lane words.
@@ -76,8 +91,9 @@
 
 use crate::error::SimError;
 use crate::executor::{pack_bits, Simulator};
+use crate::frame_batch::{BatchOp, BatchPlan};
 use crate::insert::InsertionSet;
-use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
+use crate::noise::ShotNoise;
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lt_lane, map_shots_indexed, pick,
     shot_key, site, site_draw, ExecutionPlan, PlanOp,
@@ -284,17 +300,6 @@ pub struct FramePlan {
     /// Number of conditional Paulis (the length of
     /// [`RefBits::fired`]).
     pub(crate) conds: usize,
-    pub(crate) words: usize,
-    /// Per-qubit flag: true when some item op can flush or negate the
-    /// qubit's pending bank mid-stream. Only these qubits accrue
-    /// signed time segment by segment; every other qubit's bank is
-    /// read exactly once (at the final flush), so its accrual
-    /// collapses to one shared idle scalar — idle sign is +1, making
-    /// the shared accumulator's f64 add sequence identical to the
-    /// dense per-qubit walk it replaces.
-    pub(crate) streamed: Vec<bool>,
-    /// Indices where `streamed` is true, ascending.
-    pub(crate) streamed_list: Vec<usize>,
 }
 
 /// Exact cache key for conjugation tables: gate mnemonic plus the
@@ -308,22 +313,6 @@ fn table_key(gate: &Gate) -> (&'static str, u64) {
 }
 
 impl FramePlan {
-    /// Builds the seed-free plan (timeline plan included). Fails with
-    /// a structured [`SimError`] — never a panic — when the circuit is
-    /// outside the tableau representation (non-Clifford, feed-forward,
-    /// or an instruction whose operand count does not match its
-    /// gate's arity).
-    #[cfg(test)]
-    pub(crate) fn build(sim: &Simulator, sc: &ScheduledCircuit) -> Result<Self, SimError> {
-        let sc = Arc::new(sc.clone());
-        let plan = Arc::new(ExecutionPlan::build_arc(
-            sc.clone(),
-            &sim.device,
-            &sim.config,
-        )?);
-        Self::build_with_plan(sc, plan)
-    }
-
     /// Builds the frame plan over a prebuilt (possibly shared)
     /// timeline plan. `sc` may differ from `plan.sc` only at merged
     /// single-qubit Pauli slots — the re-dressed-twirl contract; the
@@ -465,25 +454,11 @@ impl FramePlan {
             };
             items.push(Some(op));
         }
-
-        let words = sc.num_qubits.div_ceil(64);
-        let mut streamed = vec![false; sc.num_qubits];
-        for op in plan.ops.iter() {
-            if let PlanOp::Project { item } | PlanOp::Apply { item } = *op {
-                for &q in &sc.items[item].instruction.qubits {
-                    streamed[q] = true;
-                }
-            }
-        }
-        let streamed_list: Vec<usize> = (0..sc.num_qubits).filter(|&q| streamed[q]).collect();
         Ok(Self {
             sc,
             plan,
             items,
             conds,
-            words,
-            streamed,
-            streamed_list,
         })
     }
 
@@ -622,23 +597,25 @@ impl FramePlan {
             tableau,
         )
     }
+}
 
-    /// Runs one shot: propagates a Pauli frame with sampled noise and
-    /// returns `(frame_x, frame_z, classical bits)`. Every draw is a
-    /// pure hash of `(seed, shot, site)` where the site id names the
-    /// draw's structural location (noise class, plan-op index,
-    /// qubit/edge — see [`crate::plan::site`]). Draws are therefore
-    /// order-independent: this path may evaluate a different *number*
-    /// of random values than the batch engine (e.g. structurally
-    /// empty flushes, unfired gate errors) without shifting any other
-    /// decision, which is exactly the freedom the bit-sliced batch
-    /// sampler exploits. Ladder draws ([`lt_lane`]) read single lane
-    /// bits of the same bit-planes the batch engine compares 64 lanes
-    /// at a time; per-lane-threshold draws (`FLUSH_Z`) walk the same
-    /// ladder with this lane's own `bern_theta` threshold, which the
-    /// batch engine reads per lane from the lane's noise code.
-    /// `shot_idx` is the global shot index; it also looks up the
-    /// shot's Pauli insertions in `ins`, which are RNG-free frame
+/// The serial frame engine: interprets the frame program that
+/// [`BatchPlan::from_frame`] compiles one shot at a time, with scalar
+/// frames and single-lane draws — no pruning, sharding or transposes.
+/// It is the reference the strip runner's bit-parallel machinery is
+/// checked against.
+impl BatchPlan {
+    /// Runs one shot of the program: propagates a Pauli frame with
+    /// sampled noise and returns `(frame_x, frame_z, classical bits)`.
+    /// Every draw is a pure hash of `(seed, shot, site)`
+    /// ([`crate::plan::site`]); ladder draws ([`lt_lane`]) read this
+    /// shot's lane bit of the planes the strip runner compares 64
+    /// lanes at a time, so shot `i` makes the decisions of lane
+    /// `i mod 64` of word `i / 64`, in any order. A flush's Z
+    /// threshold comes from the op's factored bank and this shot's
+    /// own Z rate ([`ShotNoise::sample_v2`]), never from the op's
+    /// table. `shot_idx` is the global shot index; it also looks up
+    /// the shot's Pauli insertions in `ins`, which are RNG-free frame
     /// XORs.
     fn shot(
         &self,
@@ -648,37 +625,19 @@ impl FramePlan {
         shot_idx: usize,
         ins: &InsertionSet,
     ) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
-        let n = self.sc.num_qubits;
-        let config = &sim.config;
+        let n = self.frame.sc.num_qubits;
         let t_start = ca_obs::enabled().then(std::time::Instant::now); // ca-lint: allow(wall-clock) -- obs-gated timing attribution; never feeds results
-        let shot = ShotNoise::sample_v2(&sim.device, config, seed, shot_idx as u64);
+        let noise = ShotNoise::sample_v2(&sim.device, &sim.config, seed, shot_idx as u64);
         // Per-shot and per-word stream keys: direct draws complete
         // `shot_site_seed` from `skey`; ladder/fair draws complete
         // `plane_base` from `wkey` and read this shot's lane bit.
         let skey = shot_key(seed, shot_idx as u64);
         let wkey = shot_key(seed, (shot_idx / 64) as u64);
         let lane = (shot_idx % 64) as u32;
-        let mut fx = vec![0u64; self.words];
-        let mut fz = vec![0u64; self.words];
-        // Initial Z-frame randomization: Z stabilizes |0…0⟩.
-        for q in 0..n {
-            let b = fair_plane(site_draw(wkey, site::id(site::INIT_Z, 0, q)));
-            set(&mut fz, q, b >> lane & 1 == 1);
-        }
-        if let Some(t0) = t_start {
-            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            ca_obs::observe_ns("engine", "sampling", ns);
-        }
-        let mut bits = vec![false; self.sc.num_clbits.max(1)];
-        let mut pend_stat = vec![0.0f64; n];
-        let mut pend_time = vec![0.0f64; n];
-        let mut pend_rzz = vec![0.0f64; self.plan.edge_pairs.len()];
-        let mut deco_dt = vec![0.0f64; n];
-        let mut idle_elapsed = 0.0f64;
-        let mut meas_i = 0usize;
+        let mut fx = vec![0u64; n.div_ceil(64)];
+        let mut fz = vec![0u64; n.div_ceil(64)];
 
-        // Ladder draw (compile-constant threshold): this shot's lane
-        // bit of the site's bit-planes.
+        // Ladder draw: this shot's lane bit of the site's bit-planes.
         macro_rules! lt {
             ($site:expr, $t:expr) => {
                 lt_lane(site_draw(wkey, $site), lane, $t)
@@ -690,257 +649,156 @@ impl FramePlan {
                 fair_plane(site_draw(wkey, $site)) >> lane & 1 == 1
             };
         }
-
-        macro_rules! flush_qubit {
-            ($q:expr, $op:expr) => {{
-                let q = $q;
-                let theta = pend_stat[q]
-                    + ca_device::phase_rad(shot.z_rate_khz(&sim.device, q), pend_time[q]);
-                pend_stat[q] = 0.0;
-                pend_time[q] = 0.0;
-                // Per-lane threshold over shared planes: the rate (and
-                // hence θ) varies by lane, but the ladder compares
-                // each lane's bit of the *same* site planes against
-                // its own threshold — the batch engine transposes the
-                // lanes' thresholds and walks the identical ladder
-                // word-wide.
-                // `bern_theta` folds in the |θ| dead-zone.
-                let t = bern_theta(theta);
-                if t > 0 && lt!(site::id(site::FLUSH_Z, $op, q), t) {
-                    toggle(&mut fz, q);
+        // 1q depolarizing error: a hit ladder, then this shot's own
+        // uniform pick among X, Y, Z.
+        macro_rules! depolarize_1q {
+            ($op:expr, $q:expr, $p:expr) => {
+                if $p > 0.0 && lt!(site::id(site::GATE_HIT, $op, $q), bern_threshold($p)) {
+                    let k = pick(site_draw(skey, site::id(site::GATE_SEL, $op, $q)), 3) as usize;
+                    inject(&mut fx, &mut fz, $q, [Pauli::X, Pauli::Y, Pauli::Z][k]);
                 }
-                for &e in &self.plan.incident[q] {
-                    let th = pend_rzz[e];
-                    if th.abs() > 1e-15 {
-                        pend_rzz[e] = 0.0;
-                        if lt!(site::id(site::FLUSH_ZZ, $op, e), bern_theta(th)) {
-                            let (a, b) = self.plan.edge_pairs[e];
-                            toggle(&mut fz, a);
-                            toggle(&mut fz, b);
+            };
+        }
+
+        // Initial Z-frame randomization: Z stabilizes |0…0⟩.
+        for q in 0..n {
+            set(&mut fz, q, fair!(site::id(site::INIT_Z, 0, q)));
+        }
+        if let Some(t0) = t_start {
+            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            ca_obs::observe_ns("engine", "sampling", ns);
+        }
+        let mut bits = vec![false; self.frame.sc.num_clbits.max(1)];
+        for bop in &self.ops {
+            match *bop {
+                BatchOp::Flush {
+                    q,
+                    op,
+                    stat,
+                    time,
+                    ref edges,
+                    deco,
+                    ..
+                } => {
+                    // This shot's own threshold: the rate (and hence θ)
+                    // varies by shot, while the ladder reads the same
+                    // site planes every lane of the word reads.
+                    // `bern_theta` folds in the |θ| dead-zone.
+                    let rate = noise.z_rate_khz(&sim.device, q);
+                    let t = bern_theta(stat + ca_device::phase_rad(rate, time));
+                    if t > 0 && lt!(site::id(site::FLUSH_Z, op, q), t) {
+                        toggle(&mut fz, q);
+                    }
+                    for edge in edges {
+                        if lt!(site::id(site::FLUSH_ZZ, op, edge.e), edge.t) {
+                            toggle(&mut fz, edge.a);
+                            toggle(&mut fz, edge.b);
                         }
                     }
-                }
-                if config.decoherence && deco_dt[q] > 0.0 {
-                    let cal = &sim.device.calibration.qubits[q];
-                    let dt = deco_dt[q];
-                    deco_dt[q] = 0.0;
-                    // Pauli twirl of amplitude damping: one uniform
-                    // against γ/4, γ/2, 3γ/4 (X / Y / Z bands).
-                    let gamma = damping_prob(dt, cal.t1_us);
-                    if gamma > 0.0 {
-                        let ts = damping_thresholds(gamma);
-                        let base = site_draw(wkey, site::id(site::DECO_DAMP, $op, q));
-                        let l1 = lt_lane(base, lane, ts[0]);
-                        let l2 = lt_lane(base, lane, ts[1]);
-                        let l3 = lt_lane(base, lane, ts[2]);
-                        if l2 {
-                            toggle(&mut fx, q);
+                    if let Some((gamma, p_z)) = deco {
+                        // Pauli twirl of amplitude damping: one uniform
+                        // against γ/4, γ/2, 3γ/4 (X / Y / Z bands).
+                        if gamma > 0.0 {
+                            let base = site_draw(wkey, site::id(site::DECO_DAMP, op, q));
+                            let [l1, l2, l3] =
+                                damping_thresholds(gamma).map(|t| lt_lane(base, lane, t));
+                            if l2 {
+                                toggle(&mut fx, q);
+                            }
+                            if l1 != l3 {
+                                toggle(&mut fz, q);
+                            }
                         }
-                        if l1 != l3 {
+                        if p_z > 0.0 && lt!(site::id(site::DECO_DEPH, op, q), bern_threshold(p_z)) {
                             toggle(&mut fz, q);
                         }
                     }
-                    let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
-                    if p_z > 0.0 && lt!(site::id(site::DECO_DEPH, $op, q), bern_threshold(p_z)) {
-                        toggle(&mut fz, q);
+                }
+                BatchOp::Gate1 {
+                    q,
+                    op,
+                    ref m,
+                    err_p,
+                } => {
+                    let (x, z) = m.apply(u64::from(get(&fx, q)), u64::from(get(&fz, q)));
+                    set(&mut fx, q, x != 0);
+                    set(&mut fz, q, z != 0);
+                    depolarize_1q!(op, q, err_p);
+                }
+                BatchOp::Gate2 {
+                    a,
+                    b,
+                    op,
+                    ref m,
+                    err_p,
+                } => {
+                    let frame = [get(&fx, a), get(&fz, a), get(&fx, b), get(&fz, b)];
+                    let [xa, za, xb, zb] = m.apply(frame.map(u64::from));
+                    set(&mut fx, a, xa != 0);
+                    set(&mut fz, a, za != 0);
+                    set(&mut fx, b, xb != 0);
+                    set(&mut fz, b, zb != 0);
+                    if err_p > 0.0 && lt!(site::id(site::GATE_HIT, op, a), bern_threshold(err_p)) {
+                        let k =
+                            pick(site_draw(skey, site::id(site::GATE_SEL, op, a)), 15) as usize + 1;
+                        inject(&mut fx, &mut fz, a, Pauli::from_index(k % 4));
+                        inject(&mut fx, &mut fz, b, Pauli::from_index(k / 4));
                     }
                 }
-            }};
-        }
-
-        for (op_i, op) in self.plan.ops.iter().enumerate() {
-            match *op {
-                PlanOp::Segment(i) => {
-                    let seg = &self.plan.segments[i];
-                    for &(q, th) in &seg.rz_static {
-                        pend_stat[q] += th;
+                BatchOp::Measure {
+                    q,
+                    op,
+                    meas,
+                    clbit,
+                    readout,
+                } => {
+                    let mut outcome = reference.outcomes[meas] ^ get(&fx, q);
+                    if let Some(p) = readout.filter(|&p| p > 0.0) {
+                        if lt!(site::id(site::READOUT, op, q), bern_threshold(p)) {
+                            outcome = !outcome;
+                        }
                     }
-                    for &(e, th) in &self.plan.seg_edges[i] {
-                        pend_rzz[e] += th;
+                    if let Some(c) = clbit {
+                        bits[c] = outcome;
                     }
-                    let dt = seg.dt();
-                    idle_elapsed += dt;
-                    for &q in &self.streamed_list {
-                        pend_time[q] += seg.signed_dt(q);
-                        deco_dt[q] += dt;
+                    // Post-collapse Z randomization.
+                    set(&mut fz, q, fair!(site::id(site::MEAS_Z, op, q)));
+                }
+                BatchOp::Reset { q, op } => {
+                    set(&mut fx, q, false);
+                    set(&mut fz, q, fair!(site::id(site::RESET_Z, op, q)));
+                }
+                BatchOp::CondGate {
+                    q,
+                    op,
+                    x,
+                    z,
+                    clbit,
+                    value,
+                    cond,
+                    err_p,
+                } => {
+                    let fired = bits[clbit] == value;
+                    if fired != reference.fired[cond] {
+                        if x {
+                            toggle(&mut fx, q);
+                        }
+                        if z {
+                            toggle(&mut fz, q);
+                        }
+                    }
+                    if fired {
+                        depolarize_1q!(op, q, err_p);
                     }
                 }
-                PlanOp::Project { item } => {
-                    let si = &self.sc.items[item];
-                    let q = si.instruction.qubits[0];
-                    flush_qubit!(q, op_i);
-                    match si.instruction.gate {
-                        Gate::Measure => {
-                            let reference = reference.outcomes[meas_i];
-                            meas_i += 1;
-                            let mut outcome = reference ^ get(&fx, q);
-                            if config.readout_error {
-                                let p = sim.device.calibration.qubits[q].readout_err;
-                                if p > 0.0
-                                    && lt!(site::id(site::READOUT, op_i, q), bern_threshold(p))
-                                {
-                                    outcome = !outcome;
-                                }
-                            }
-                            if let Some(c) = si.instruction.clbit {
-                                bits[c] = outcome;
-                            }
-                            // Post-collapse Z randomization.
-                            set(&mut fz, q, fair!(site::id(site::MEAS_Z, op_i, q)));
-                        }
-                        Gate::Reset => {
-                            set(&mut fx, q, false);
-                            set(&mut fz, q, fair!(site::id(site::RESET_Z, op_i, q)));
-                        }
-                        _ => unreachable!(), // ca-lint: allow(panic) -- plan construction guarantees the op kind at this slot
-                    }
-                }
-                PlanOp::Apply { item } => {
-                    let si = &self.sc.items[item];
-                    // ca-lint: allow(panic) -- plan construction guarantees unitary items at Apply ops
-                    match self.items[item].as_ref().expect("unitary item") {
-                        ItemOp::CondPauli {
-                            q,
-                            pauli,
-                            clbit,
-                            value,
-                            cond,
-                            physical,
-                        } => {
-                            let q = *q;
-                            if *physical {
-                                flush_qubit!(q, op_i);
-                            }
-                            let fired = bits[*clbit] == *value;
-                            if fired != reference.fired[*cond] {
-                                inject(&mut fx, &mut fz, q, *pauli);
-                            }
-                            if *physical && config.gate_error && fired {
-                                let p = sim.device.calibration.qubits[q].gate_err_1q;
-                                if p > 0.0
-                                    && lt!(site::id(site::GATE_HIT, op_i, q), bern_threshold(p))
-                                {
-                                    let k =
-                                        pick(site_draw(skey, site::id(site::GATE_SEL, op_i, q)), 3)
-                                            as usize;
-                                    inject(&mut fx, &mut fz, q, [Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                }
-                            }
-                        }
-                        ItemOp::BankRz { q, theta } => {
-                            pend_stat[*q] += *theta;
-                        }
-                        ItemOp::BankRzz { a, b, edge, theta } => {
-                            pend_rzz[*edge] += *theta;
-                            if config.gate_error {
-                                let scale = self
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                let p = sim.device.calibration.gate_err_2q(*a, *b) * scale;
-                                if p > 0.0
-                                    && lt!(site::id(site::GATE_HIT, op_i, *a), bern_threshold(p))
-                                {
-                                    let k = pick(
-                                        site_draw(skey, site::id(site::GATE_SEL, op_i, *a)),
-                                        15,
-                                    ) as usize
-                                        + 1;
-                                    inject(&mut fx, &mut fz, *a, Pauli::from_index(k % 4));
-                                    inject(&mut fx, &mut fz, *b, Pauli::from_index(k / 4));
-                                }
-                            }
-                        }
-                        ItemOp::CondBankRz { q, theta, edge } => {
-                            pend_stat[*q] += *theta;
-                            if let Some((e, th)) = edge {
-                                pend_rzz[*e] += *th;
-                            }
-                        }
-                        ItemOp::One { q, table, z_sign } => {
-                            let q = *q;
-                            match z_sign {
-                                Some(s) => {
-                                    if *s < 0 {
-                                        pend_stat[q] = -pend_stat[q];
-                                        pend_time[q] = -pend_time[q];
-                                        for &e in &self.plan.incident[q] {
-                                            pend_rzz[e] = -pend_rzz[e];
-                                        }
-                                    }
-                                }
-                                None => flush_qubit!(q, op_i),
-                            }
-                            let p = get_pauli(&fx, &fz, q);
-                            let (_, p2) = table[p.index()];
-                            set_pauli(&mut fx, &mut fz, q, p2);
-                            if config.gate_error
-                                && !si.instruction.gate.is_virtual()
-                                && !si.instruction.merged
-                            {
-                                let p = sim.device.calibration.qubits[q].gate_err_1q;
-                                if p > 0.0
-                                    && lt!(site::id(site::GATE_HIT, op_i, q), bern_threshold(p))
-                                {
-                                    let k =
-                                        pick(site_draw(skey, site::id(site::GATE_SEL, op_i, q)), 3)
-                                            as usize;
-                                    inject(&mut fx, &mut fz, q, [Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                }
-                            }
-                        }
-                        ItemOp::Two {
-                            a,
-                            b,
-                            table,
-                            diagonal,
-                        } => {
-                            let (a, b) = (*a, *b);
-                            if !diagonal {
-                                flush_qubit!(a, op_i);
-                                flush_qubit!(b, op_i);
-                            }
-                            let pa = get_pauli(&fx, &fz, a);
-                            let pb = get_pauli(&fx, &fz, b);
-                            let (_, (qa, qb)) = table[pa.index() + 4 * pb.index()];
-                            set_pauli(&mut fx, &mut fz, a, qa);
-                            set_pauli(&mut fx, &mut fz, b, qb);
-                            if config.gate_error {
-                                let scale = self
-                                    .sc
-                                    .durations
-                                    .two_qubit_error_scale(&si.instruction.gate);
-                                let p = sim.device.calibration.gate_err_2q(a, b) * scale;
-                                if p > 0.0
-                                    && lt!(site::id(site::GATE_HIT, op_i, a), bern_threshold(p))
-                                {
-                                    let k = pick(
-                                        site_draw(skey, site::id(site::GATE_SEL, op_i, a)),
-                                        15,
-                                    ) as usize
-                                        + 1;
-                                    inject(&mut fx, &mut fz, a, Pauli::from_index(k % 4));
-                                    inject(&mut fx, &mut fz, b, Pauli::from_index(k / 4));
-                                }
-                            }
-                        }
-                    }
-                    // Scheduled per-shot Pauli insertions (PEC): pure
-                    // frame XORs after the item's own error draws.
+                // Scheduled per-shot Pauli insertions (PEC): pure frame
+                // XORs after the item's own error draws.
+                BatchOp::Anchor { item } => {
                     for &(_, q, p) in ins.for_shot(item, shot_idx) {
                         inject(&mut fx, &mut fz, q, p);
                     }
                 }
             }
-        }
-        let final_op = self.plan.ops.len();
-        for q in 0..n {
-            if !self.streamed[q] {
-                // Settle the deferred idle accrual (see `streamed`).
-                pend_time[q] = idle_elapsed;
-                deco_dt[q] = idle_elapsed;
-            }
-            flush_qubit!(q, final_op);
         }
         if let Some(t0) = t_start {
             let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -948,12 +806,10 @@ impl FramePlan {
         }
         (fx, fz, bits)
     }
-}
 
-impl FramePlan {
-    /// Shot-sampled classical counts over this prepared plan.
+    /// Shot-sampled classical counts on the serial engine.
     /// `cancel` is polled at shot-chunk boundaries.
-    pub(crate) fn counts(
+    pub(crate) fn serial_counts(
         &self,
         sim: &Simulator,
         reference: &RefBits,
@@ -966,7 +822,7 @@ impl FramePlan {
             workers,
             cancel,
         } = params;
-        let nbits = self.sc.num_clbits;
+        let nbits = self.frame.sc.num_clbits;
         let parts = map_shots_indexed(
             shots,
             workers,
@@ -982,24 +838,9 @@ impl FramePlan {
         }))
     }
 
-    /// Reference expectation and packed masks per observable.
-    fn prepare_observables(
-        tableau: &Tableau,
-        paulis: &[PauliString],
-    ) -> Vec<(i32, Vec<u64>, Vec<u64>)> {
-        paulis
-            .iter()
-            .map(|p| {
-                let r = tableau.expect(p); // ca-lint: allow(panic) -- `Tableau::expect` is a Pauli expectation, not an Option unwrap
-                let (px, pz) = pack_pauli(p);
-                (r, px, pz)
-            })
-            .collect()
-    }
-
-    /// Frame-averaged Pauli expectations over this prepared plan.
+    /// Frame-averaged Pauli expectations on the serial engine.
     /// `cancel` is polled at shot-chunk boundaries.
-    pub(crate) fn expectations(
+    pub(crate) fn serial_expectations(
         &self,
         sim: &Simulator,
         reference: &RefBits,
@@ -1014,7 +855,7 @@ impl FramePlan {
             workers,
             cancel,
         } = params;
-        let prepared = Self::prepare_observables(tableau, paulis);
+        let prepared = packed_observables(tableau, paulis);
         let sums = map_shots_indexed(
             shots,
             workers,
@@ -1049,9 +890,9 @@ impl FramePlan {
         }))
     }
 
-    /// Per-shot ±1 outcomes over this prepared plan (see
+    /// Per-shot ±1 outcomes on the serial engine (see
     /// [`PauliFlips`]). `cancel` is polled at shot-chunk boundaries.
-    pub(crate) fn flips(
+    pub(crate) fn serial_flips(
         &self,
         sim: &Simulator,
         reference: &RefBits,
@@ -1066,7 +907,7 @@ impl FramePlan {
             workers,
             cancel,
         } = params;
-        let prepared = Self::prepare_observables(tableau, paulis);
+        let prepared = packed_observables(tableau, paulis);
         let words = shots.div_ceil(64);
         // Per-worker bitvectors cover disjoint shot indices, so the
         // merge is a plain OR — order-independent and exact.
@@ -1106,6 +947,18 @@ impl FramePlan {
     }
 }
 
+/// Reference expectation and packed masks per observable.
+fn packed_observables(tableau: &Tableau, paulis: &[PauliString]) -> Vec<(i32, Vec<u64>, Vec<u64>)> {
+    paulis
+        .iter()
+        .map(|p| {
+            let r = tableau.expect(p); // ca-lint: allow(panic) -- `Tableau::expect` is a Pauli expectation, not an Option unwrap
+            let (px, pz) = pack_pauli(p);
+            (r, px, pz)
+        })
+        .collect()
+}
+
 #[inline]
 fn get(v: &[u64], q: usize) -> bool {
     v[q / 64] >> (q % 64) & 1 == 1
@@ -1123,18 +976,6 @@ fn set(v: &mut [u64], q: usize, on: bool) {
 #[inline]
 fn toggle(v: &mut [u64], q: usize) {
     v[q / 64] ^= 1 << (q % 64);
-}
-
-#[inline]
-fn get_pauli(fx: &[u64], fz: &[u64], q: usize) -> Pauli {
-    pauli_from_bits(get(fx, q), get(fz, q))
-}
-
-#[inline]
-fn set_pauli(fx: &mut [u64], fz: &mut [u64], q: usize, p: Pauli) {
-    let (x, z) = pauli_to_bits(p);
-    set(fx, q, x);
-    set(fz, q, z);
 }
 
 /// Multiplies the frame by `p` at qubit `q` (signs are irrelevant for

@@ -65,11 +65,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 enum Backend {
     /// Dense statevector: the timeline plan is the whole program.
     Dense,
-    /// Serial stabilizer/Pauli-frame program.
-    Serial(FramePlan),
-    /// Bit-parallel batched frame program (contains the serial
-    /// [`FramePlan`] it was compiled from).
-    Batch(BatchPlan),
+    /// The frame program (with the [`FramePlan`] it was compiled
+    /// from), run by the serial engine one shot at a time when
+    /// `serial` — the batch engine's reference — and bit-parallel, 64
+    /// shots per word, otherwise.
+    Frame { plan: BatchPlan, serial: bool },
 }
 
 /// The seed-independent half of a compiled artifact, and the entry
@@ -182,8 +182,8 @@ impl CompiledCircuit {
     pub fn engine_name(&self) -> &'static str {
         match *self.backend {
             Backend::Dense => "statevector",
-            Backend::Serial(_) => "stabilizer",
-            Backend::Batch(_) => "frame-batch",
+            Backend::Frame { serial: true, .. } => "stabilizer",
+            Backend::Frame { serial: false, .. } => "frame-batch",
         }
     }
 
@@ -263,18 +263,15 @@ impl CompiledCircuit {
                     cancel,
                 )
             }
-            Backend::Serial(frame) => frame.counts(
-                &self.sim,
-                self.ref_bits(frame),
-                ins,
-                self.params(shots, workers, cancel),
-            ),
-            Backend::Batch(batch) => batch.counts(
-                &self.sim,
-                self.ref_bits(&batch.frame),
-                ins,
-                self.params(shots, workers, cancel),
-            ),
+            Backend::Frame { plan, serial } => {
+                let bits = self.ref_bits(&plan.frame);
+                let params = self.params(shots, workers, cancel);
+                if *serial {
+                    plan.serial_counts(&self.sim, bits, ins, params)
+                } else {
+                    plan.counts(&self.sim, bits, ins, params)
+                }
+            }
         }
     }
 
@@ -317,27 +314,14 @@ impl CompiledCircuit {
                     cancel,
                 )
             }
-            Backend::Serial(frame) => {
-                let (bits, tableau) = self.ref_tableau(frame);
-                frame.expectations(
-                    &self.sim,
-                    bits,
-                    tableau,
-                    paulis,
-                    ins,
-                    self.params(shots, workers, cancel),
-                )
-            }
-            Backend::Batch(batch) => {
-                let (bits, tableau) = self.ref_tableau(&batch.frame);
-                batch.expectations(
-                    &self.sim,
-                    bits,
-                    tableau,
-                    paulis,
-                    ins,
-                    self.params(shots, workers, cancel),
-                )
+            Backend::Frame { plan, serial } => {
+                let (bits, tableau) = self.ref_tableau(&plan.frame);
+                let params = self.params(shots, workers, cancel);
+                if *serial {
+                    plan.serial_expectations(&self.sim, bits, tableau, paulis, ins, params)
+                } else {
+                    plan.expectations(&self.sim, bits, tableau, paulis, ins, params)
+                }
             }
         }
     }
@@ -369,27 +353,14 @@ impl CompiledCircuit {
                 engine: "statevector",
                 operation: "per-shot sign-resolved outcomes",
             }),
-            Backend::Serial(frame) => {
-                let (bits, tableau) = self.ref_tableau(frame);
-                frame.flips(
-                    &self.sim,
-                    bits,
-                    tableau,
-                    paulis,
-                    ins,
-                    self.params(shots, workers, cancel),
-                )
-            }
-            Backend::Batch(batch) => {
-                let (bits, tableau) = self.ref_tableau(&batch.frame);
-                batch.flips(
-                    &self.sim,
-                    bits,
-                    tableau,
-                    paulis,
-                    ins,
-                    self.params(shots, workers, cancel),
-                )
+            Backend::Frame { plan, serial } => {
+                let (bits, tableau) = self.ref_tableau(&plan.frame);
+                let params = self.params(shots, workers, cancel);
+                if *serial {
+                    plan.serial_flips(&self.sim, bits, tableau, paulis, ins, params)
+                } else {
+                    plan.flips(&self.sim, bits, tableau, paulis, ins, params)
+                }
             }
         }
     }
@@ -483,7 +454,13 @@ impl Simulator {
         sc: &Arc<ScheduledCircuit>,
         plan: &Arc<ExecutionPlan>,
     ) -> Result<Backend, SimError> {
-        let frame = || FramePlan::build_with_plan(sc.clone(), plan.clone());
+        let frame = |serial| -> Result<Backend, SimError> {
+            let frame = FramePlan::build_with_plan(sc.clone(), plan.clone())?;
+            Ok(Backend::Frame {
+                plan: BatchPlan::from_frame(self, frame),
+                serial,
+            })
+        };
         Ok(match self.resolve_engine(sc)? {
             Engine::Statevector => {
                 if sc.num_qubits > DENSE_MAX_QUBITS {
@@ -498,11 +475,9 @@ impl Simulator {
                 );
                 Backend::Dense
             }
-            Engine::Stabilizer => Backend::Serial(frame()?),
+            Engine::Stabilizer => frame(true)?,
             // `resolve_engine` never returns `Auto`.
-            Engine::FrameBatch | Engine::Auto => {
-                Backend::Batch(BatchPlan::from_frame(self, frame()?))
-            }
+            Engine::FrameBatch | Engine::Auto => frame(false)?,
         })
     }
 }
