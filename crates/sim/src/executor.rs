@@ -8,13 +8,27 @@
 //! exact for diagonal noise and makes dynamical decoupling work with
 //! no special casing: the inserted X pulses conjugate earlier flushed
 //! phases precisely as on hardware.
+//!
+//! Virtual `Rz` gates (the compiler's compensations) do not touch the
+//! state when they run: each adds its angle to the qubit's *gate-phase
+//! bank*, which the next flush applies in the same `Rz` pass as the
+//! noise bank. A gate-error Pauli landing on a qubit applies that
+//! qubit's gate-phase bank first, so the error sits after every gate
+//! phase already run, as if each had been applied in place; the noise
+//! banks stay pending across it, as before.
+//!
+//! A flush with amplitude damping due runs the Monte-Carlo-wavefunction
+//! jump step as one weight read and one write pass
+//! ([`State::apply_damping`]); the qubit's pending `Rz` rides that
+//! pass (it commutes with the edges' `Rzz` passes, which go first).
+//! The draw order is unchanged: one draw for the damping branch, then
+//! one for the dephasing kick. Folding and fusing change amplitudes by
+//! rounding only (`cis(a)·cis(b)` is not `cis(a+b)` in floating point).
 
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::insert::InsertionSet;
-use crate::noise::{
-    amplitude_damping_kraus, damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise,
-};
+use crate::noise::{damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise};
 use crate::obs_util::{time_engine_phase, PhaseTimer};
 use crate::plan::{map_shots, seed_schedule_from_env, ExecutionPlan, PlanOp};
 use crate::result::RunResult;
@@ -74,39 +88,57 @@ impl Simulator {
         phase.tick_sampling();
         let mut st = State::zero(n);
         let mut bits = vec![false; plan.sc.num_clbits.max(1)];
-        let mut pend_rz = vec![0.0f64; n];
-        let mut pend_rzz = vec![0.0f64; plan.edge_pairs.len()];
-        let mut deco_dt = vec![0.0f64; n];
+        let mut banks = Banks {
+            rz: vec![0.0; n],
+            gate_rz: vec![0.0; n],
+            rzz: vec![0.0; plan.edge_pairs.len()],
+            deco_dt: vec![0.0; n],
+        };
 
-        let flush_qubit = |q: usize,
-                           st: &mut State,
-                           pend_rz: &mut [f64],
-                           pend_rzz: &mut [f64],
-                           deco_dt: &mut [f64],
-                           rng: &mut StdRng| {
-            if pend_rz[q].abs() > 1e-15 {
-                st.apply_rz(pend_rz[q], q);
-                pend_rz[q] = 0.0;
+        let flush_qubit = |q: usize, st: &mut State, banks: &mut Banks, rng: &mut StdRng| {
+            let rz = std::mem::take(&mut banks.rz[q]) + std::mem::take(&mut banks.gate_rz[q]);
+            let rz = if rz.abs() > 1e-15 { rz } else { 0.0 };
+            let cal = &self.device.calibration.qubits[q];
+            let dt = std::mem::take(&mut banks.deco_dt[q]);
+            let decays = self.config.decoherence && dt > 0.0;
+            let p_damp = if decays {
+                damping_prob(dt, cal.t1_us)
+            } else {
+                0.0
+            };
+            // With damping due, the Z phase rides the damping step's
+            // scale pass (diagonal, so it commutes past the Rzz passes).
+            if p_damp <= 0.0 && rz != 0.0 {
+                st.apply_rz(rz, q);
             }
             for &e in &plan.incident[q] {
-                if pend_rzz[e].abs() > 1e-15 {
+                if banks.rzz[e].abs() > 1e-15 {
                     let (a, b) = plan.edge_pairs[e];
-                    st.apply_rzz(pend_rzz[e], a, b);
-                    pend_rzz[e] = 0.0;
+                    st.apply_rzz(banks.rzz[e], a, b);
+                    banks.rzz[e] = 0.0;
                 }
             }
-            if self.config.decoherence && deco_dt[q] > 0.0 {
-                let cal = &self.device.calibration.qubits[q];
-                let dt = deco_dt[q];
-                deco_dt[q] = 0.0;
-                let p_damp = damping_prob(dt, cal.t1_us);
-                if p_damp > 0.0 {
-                    st.apply_kraus_1q(&amplitude_damping_kraus(p_damp), q, rng);
-                }
+            if p_damp > 0.0 {
+                st.apply_damping(p_damp, rz, q, rng);
+            }
+            if decays {
                 let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
                 if p_z > 0.0 && rng.random::<f64>() < p_z {
                     st.apply_rz(std::f64::consts::PI, q);
                 }
+            }
+        };
+        // A gate-error Pauli lands after every gate phase already
+        // accrued on its qubit, as if each virtual `Rz` had been applied
+        // when it ran: the qubit's gate-phase bank goes in first. The
+        // noise banks stay pending across it.
+        let land_pauli = |q: usize, pauli: Gate, st: &mut State, banks: &mut Banks| {
+            let th = std::mem::take(&mut banks.gate_rz[q]);
+            if th != 0.0 {
+                st.apply_rz(th, q);
+            }
+            if let Some(m) = pauli.matrix1() {
+                st.apply_1q(&m, q);
             }
         };
 
@@ -115,24 +147,24 @@ impl Simulator {
                 PlanOp::Segment(i) => {
                     let seg = &plan.segments[i];
                     for &(q, th) in &seg.rz_static {
-                        pend_rz[q] += th;
+                        banks.rz[q] += th;
                     }
                     for &(e, th) in &plan.seg_edges[i] {
-                        pend_rzz[e] += th;
+                        banks.rzz[e] += th;
                     }
                     for q in 0..n {
                         let rate = shot.z_rate_khz(&self.device, q);
                         if rate != 0.0 {
-                            pend_rz[q] += phase_rad(rate, seg.signed_dt(q));
+                            banks.rz[q] += phase_rad(rate, seg.signed_dt(q));
                         }
-                        deco_dt[q] += seg.dt();
+                        banks.deco_dt[q] += seg.dt();
                     }
                     phase.tick_sampling();
                 }
                 PlanOp::Project { item } => {
                     let si = &plan.sc.items[item];
                     let q = si.instruction.qubits[0];
-                    flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+                    flush_qubit(q, &mut st, &mut banks, rng);
                     phase.tick_propagation();
                     match si.instruction.gate {
                         Gate::Measure => {
@@ -170,14 +202,14 @@ impl Simulator {
                     }
                     if !gate.is_diagonal() {
                         for &q in &instr.qubits {
-                            flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+                            flush_qubit(q, &mut st, &mut banks, rng);
                         }
                     }
                     match instr.qubits.len() {
                         1 => {
                             let q = instr.qubits[0];
                             if let Gate::Rz(th) = gate {
-                                st.apply_rz(th, q);
+                                banks.gate_rz[q] += th;
                             } else {
                                 // ca-lint: allow(panic) -- plan stage validated gate arity and unitarity
                                 st.apply_1q(&gate.matrix1().expect("1q unitary"), q);
@@ -186,8 +218,12 @@ impl Simulator {
                                 let p = self.device.calibration.qubits[q].gate_err_1q;
                                 if p > 0.0 && rng.random::<f64>() < p {
                                     let k = rng.random_range(0..3usize);
-                                    let pg = [Gate::X, Gate::Y, Gate::Z][k];
-                                    st.apply_1q(&pg.matrix1().unwrap(), q); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
+                                    land_pauli(
+                                        q,
+                                        [Gate::X, Gate::Y, Gate::Z][k],
+                                        &mut st,
+                                        &mut banks,
+                                    );
                                 }
                             }
                         }
@@ -209,10 +245,10 @@ impl Simulator {
                                     let paulis =
                                         [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)];
                                     if let Some(g) = paulis[pa] {
-                                        st.apply_1q(&g.matrix1().unwrap(), a); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
+                                        land_pauli(a, g, &mut st, &mut banks);
                                     }
                                     if let Some(g) = paulis[pb] {
-                                        st.apply_1q(&g.matrix1().unwrap(), b); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
+                                        land_pauli(b, g, &mut st, &mut banks);
                                     }
                                 }
                             }
@@ -228,7 +264,7 @@ impl Simulator {
         }
         // Final flush so the returned state carries all trailing noise.
         for q in 0..n {
-            flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+            flush_qubit(q, &mut st, &mut banks, rng);
         }
         phase.tick_propagation();
         phase.finish();
@@ -356,6 +392,20 @@ impl Simulator {
         let mut rng = rand::SeedableRng::seed_from_u64(seed);
         self.trajectory(&plan, &mut rng)
     }
+}
+
+/// One trajectory's pending phases and idle time, flushed per qubit.
+struct Banks {
+    /// Per qubit: the accrued coherent Z noise angle.
+    rz: Vec<f64>,
+    /// Per qubit: the summed angles of the virtual `Rz` gates run
+    /// since the last flush (or the last gate-error Pauli on it).
+    gate_rz: Vec<f64>,
+    /// Per crosstalk edge: the accrued ZZ angle.
+    rzz: Vec<f64>,
+    /// Per qubit: the idle time its decoherence has not yet been
+    /// applied for.
+    deco_dt: Vec<f64>,
 }
 
 /// Packs classical bits little-endian into a u64 key.

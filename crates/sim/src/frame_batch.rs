@@ -1993,7 +1993,14 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
         let none = InsertionSet::empty();
-        for (shots, seed) in [(1usize, 3u64), (63, 5), (64, 7), (65, 9), (200, 11)] {
+        for (shots, seed) in [
+            (1usize, 3u64),
+            (63, 5),
+            (64, 7),
+            (65, 9),
+            (200, 11),
+            (4096, 13),
+        ] {
             let (serial, batch) = serial_and_batch(&sim, &sc, seed);
             let a = serial.run_counts(shots, &none, None).unwrap();
             let b = batch.run_counts(shots, &none, None).unwrap();

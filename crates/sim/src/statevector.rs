@@ -1,7 +1,7 @@
 //! Dense statevector with the operations the trajectory engine needs:
 //! 1q/2q unitaries, fast diagonal Z/ZZ rotations (the coherent-error
-//! workhorse), Pauli expectations, projective measurement, and
-//! single-qubit Kraus-channel sampling for amplitude damping.
+//! workhorse), Pauli expectations, projective measurement, and the
+//! amplitude-damping jump step.
 //!
 //! Every kernel walks the index blocks its qubits split the amplitude
 //! vector into (`chunks_exact_mut(2·bit)` halves) instead of testing
@@ -9,15 +9,24 @@
 //! call: diagonal, anti-diagonal and sparse (at most two non-zeros per
 //! row) matrices take shorter paths than the dense formula.
 //!
-//! **Exactness rule.** The shortcuts never change a result bit. A path
-//! may drop only terms whose matrix entry is exactly `0` and skip only
-//! multiplications by an exact `1`; every product and sum that remains
-//! runs in the order of the dense formula — no reassociation, no fused
-//! multiply-add, and no new reduction order in [`State::renormalize`],
-//! branch weights or [`State::prob_one`]. Dropping `0·x` can only turn
-//! a `−0` into `+0`, so amplitudes compare equal (`==` per component)
-//! to the dense formula's, which the `#[cfg(test)]` reference kernels
-//! at the end of this file check on random states.
+//! **Exactness rule (per-kernel shortcuts).** A kernel's structural
+//! shortcuts never change a result bit. A path may drop only terms
+//! whose matrix entry is exactly `0` and skip only multiplications by
+//! an exact `1`; every product and sum that remains runs in the order
+//! of the dense formula — no reassociation, no fused multiply-add, and
+//! no new reduction order in [`State::renormalize`] or
+//! [`State::prob_one`]. Dropping `0·x` can only turn a `−0` into `+0`,
+//! so amplitudes compare equal (`==` per component) to the dense
+//! formula's, which the `#[cfg(test)]` reference kernels at the end of
+//! this file check on random states.
+//!
+//! [`State::apply_damping`] is the one kernel outside that rule: it
+//! fuses a pending `Rz`, the damping Kraus operator and the
+//! renormalisation into one scale, so it rounds differently from
+//! `apply_rz` + Kraus + renormalise. Its property test holds it to the
+//! reference sequence within 1e-14 per amplitude and to the same
+//! branch on the same draw; the trajectory-level fold it enables is
+//! held to the 1e-12 expectation golden in `tests/dense_goldens.rs`.
 
 use ca_circuit::c64::{C64, ONE, ZERO};
 use ca_circuit::matrix::{Mat2, Mat4};
@@ -270,46 +279,61 @@ impl State {
         self.amps.len() - 1
     }
 
-    /// Applies one branch of a single-qubit Kraus channel, sampled with
-    /// the Born weights (Monte-Carlo wavefunction step). The Kraus set
-    /// must satisfy `Σ K†K = I`, so the last branch takes whatever
-    /// weight the others leave and is never computed.
-    pub fn apply_kraus_1q(&mut self, kraus: &[Mat2], q: usize, rng: &mut impl RngExt) {
-        let r: f64 = rng.random();
-        let mut acc = 0.0;
-        for (idx, k) in kraus.iter().enumerate() {
-            if idx + 1 < kraus.len() {
-                acc += self.branch_weight(k, q);
-            }
-            if idx + 1 == kraus.len() || r < acc {
-                self.apply_1q(k, q);
-                self.renormalize();
-                return;
-            }
-        }
-    }
-
-    /// ‖K|ψ⟩‖² for a 1q operator K on qubit `q`, summed in index order.
-    fn branch_weight(&self, k: &Mat2, q: usize) -> f64 {
+    /// One Monte-Carlo-wavefunction step of amplitude damping with
+    /// decay probability `gamma` on qubit `q`, with a pending `Rz(theta)`
+    /// on `q` folded in: the jump step of `apply_rz(theta, q)` followed
+    /// by the damping Kraus pair `K0 = diag(1, √(1−γ))`,
+    /// `K1 = √γ·|0⟩⟨1|`, in one read pass and one write pass.
+    ///
+    /// The read pass sums `w_lo = Σ|a_lo|²` and `w_hi = Σ|a_hi|²`; one
+    /// draw `r` picks K0 when `r < w_lo + (1−γ)·w_hi` (K0's branch
+    /// weight, which the phase does not change). K0 scales the low half
+    /// by `e^{−iθ/2}/√w0` and the high half by `e^{iθ/2}·√(1−γ)/√w0`;
+    /// K1 moves the high half, times `e^{iθ/2}/√w_hi`, onto the low
+    /// half. A jump with zero weight (`γ·w_hi = 0`) takes K0 instead,
+    /// so the step never divides by zero. Returns whether it jumped.
+    pub fn apply_damping(
+        &mut self,
+        gamma: f64,
+        theta: f64,
+        q: usize,
+        rng: &mut impl RngExt,
+    ) -> bool {
+        assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        let [[k00, k01], [k10, k11]] = k.0;
-        let pairs = self
+        let r: f64 = rng.random();
+        let g = gamma.clamp(0.0, 1.0);
+        let (mut w_lo, mut w_hi) = (0.0, 0.0);
+        for block in self.amps.chunks_exact(2 * bit) {
+            let (lo, hi) = block.split_at(bit);
+            w_lo += lo.iter().map(|a| a.norm_sqr()).sum::<f64>();
+            w_hi += hi.iter().map(|a| a.norm_sqr()).sum::<f64>();
+        }
+        let keep = 1.0 - g;
+        let w0 = w_lo + keep * w_hi;
+        let jump = r >= w0 && g * w_hi > 0.0;
+        let halves = self
             .amps
-            .chunks_exact(2 * bit)
-            .flat_map(|block| block[..bit].iter().zip(&block[bit..]));
-        let mut w = 0.0;
-        if k01 == ZERO && k10 == ZERO {
-            for (&a0, &a1) in pairs {
-                w += times_unless_one(k00, a0).norm_sqr() + times_unless_one(k11, a1).norm_sqr();
+            .chunks_exact_mut(2 * bit)
+            .map(|block| block.split_at_mut(bit));
+        if jump {
+            let e1 = C64::cis(theta / 2.0).scale(1.0 / w_hi.sqrt());
+            for (lo, hi) in halves {
+                for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
+                    *x0 = *x1 * e1;
+                    *x1 = ZERO;
+                }
             }
-        } else {
-            for (&a0, &a1) in pairs {
-                let n0 = k00 * a0 + k01 * a1;
-                let n1 = k10 * a0 + k11 * a1;
-                w += n0.norm_sqr() + n1.norm_sqr();
+        } else if w0 > 0.0 {
+            let inv = 1.0 / w0.sqrt();
+            let e0 = C64::cis(-theta / 2.0).scale(inv);
+            let e1 = C64::cis(theta / 2.0).scale(keep.sqrt() * inv);
+            for (lo, hi) in halves {
+                scale(lo, e0);
+                scale(hi, e1);
             }
         }
-        w
+        jump
     }
 
     /// Fidelity |⟨other|self⟩|².
@@ -335,15 +359,6 @@ fn scale(xs: &mut [C64], e: C64) {
 fn scale_unless_one(xs: &mut [C64], e: C64) {
     if e != ONE {
         scale(xs, e);
-    }
-}
-
-/// `e·x`, or `x` itself when `e` is exactly one.
-fn times_unless_one(e: C64, x: C64) -> C64 {
-    if e == ONE {
-        x
-    } else {
-        e * x
     }
 }
 
@@ -485,25 +500,21 @@ mod tests {
     #[test]
     fn amplitude_damping_relaxes_excited_state() {
         // γ = 1: the excited state must fully decay to |0⟩.
-        let g = 1.0f64;
-        let k0 = Mat2([[ONE, ZERO], [ZERO, C64::real((1.0 - g).sqrt())]]);
-        let k1 = Mat2([[ZERO, C64::real(g.sqrt())], [ZERO, ZERO]]);
         let mut s = State::basis(1, 1);
         let mut rng = StdRng::seed_from_u64(1);
-        s.apply_kraus_1q(&[k0, k1], 0, &mut rng);
+        assert!(s.apply_damping(1.0, 0.0, 0, &mut rng));
         assert!((s.prob_one(0)).abs() < TOL);
+        assert!((s.norm_sqr() - 1.0).abs() < TOL);
     }
 
     #[test]
     fn kraus_statistics_partial_damping() {
         let g = 0.3f64;
-        let k0 = Mat2([[ONE, ZERO], [ZERO, C64::real((1.0 - g).sqrt())]]);
-        let k1 = Mat2([[ZERO, C64::real(g.sqrt())], [ZERO, ZERO]]);
         let mut rng = StdRng::seed_from_u64(7);
         let mut decayed = 0;
         for _ in 0..3000 {
             let mut s = State::basis(1, 1);
-            s.apply_kraus_1q(&[k0, k1], 0, &mut rng);
+            s.apply_damping(g, 0.4, 0, &mut rng);
             if s.prob_one(0) < 0.5 {
                 decayed += 1;
             }
@@ -536,6 +547,24 @@ mod tests {
     }
 
     #[test]
+    fn damping_with_an_empty_high_half_never_jumps() {
+        // Qubit 0 has no excited weight, and the state's norm² is 1/4,
+        // so most draws land above K0's weight: each must still keep
+        // K0 and leave finite amplitudes, for every γ including 1.
+        for gamma in [0.0, 0.5, 1.0] {
+            let mut rng = StdRng::seed_from_u64(3);
+            for _ in 0..64 {
+                let mut s = State::zero(2);
+                s.apply_1q(&Gate::H.matrix1().unwrap(), 1);
+                s.amps.iter_mut().for_each(|a| *a = a.scale(0.5));
+                assert!(!s.apply_damping(gamma, 0.7, 0, &mut rng));
+                assert!(s.amps.iter().all(|a| a.re.is_finite() && a.im.is_finite()));
+                assert!((s.norm_sqr() - 1.0).abs() < TOL);
+            }
+        }
+    }
+
+    #[test]
     fn fidelity_of_orthogonal_states_is_zero() {
         let a = State::basis(1, 0);
         let b = State::basis(1, 1);
@@ -545,7 +574,8 @@ mod tests {
 }
 
 /// The index-testing kernels the blocked ones replaced, kept as the
-/// oracle for the module's exactness rule.
+/// oracle for the module's exactness rule, and the Kraus-channel
+/// sampler [`State::apply_damping`] fuses, kept as its oracle.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -823,7 +853,6 @@ mod exactness {
                     got.apply_1q(&m, q);
                     reference::apply_1q(&mut want, &m, q);
                     prop_assert_eq!(&got.amps, &want.amps, "apply_1q {:?} on {}", m, q);
-                    prop_assert_eq!(s.branch_weight(&m, q), reference::branch_weight(&s, &m, q));
                 }
                 let theta = angle(&mut rng);
                 let (mut got, mut want) = (s.clone(), s.clone());
@@ -841,12 +870,6 @@ mod exactness {
                     reference::project(&mut want, q, outcome);
                     prop_assert_eq!(&got.amps, &want.amps, "project {} on {}", outcome, q);
                 }
-                let kraus = amplitude_damping_kraus(rng.random());
-                let draw = rng.random::<u64>();
-                let (mut got, mut want) = (s.clone(), s.clone());
-                got.apply_kraus_1q(&kraus, q, &mut StdRng::seed_from_u64(draw));
-                reference::apply_kraus_1q(&mut want, &kraus, q, &mut StdRng::seed_from_u64(draw));
-                prop_assert_eq!(&got.amps, &want.amps, "amplitude damping on {}", q);
             }
             // Both operand orders: every ordered pair of distinct qubits.
             for a in 0..n {
@@ -867,6 +890,37 @@ mod exactness {
             for _ in 0..16 {
                 let p = random_pauli(n, &mut rng);
                 prop_assert_eq!(s.expect_pauli(&p), reference::expect_pauli(&s, &p), "{:?}", p);
+            }
+        }
+
+        /// The fused damping step is not held to `==`: it folds the
+        /// pending phase and the renormalisation into one scale, which
+        /// rounds differently. It must take the reference's branch on
+        /// the same draw and agree to 1e-14 per amplitude component.
+        #[test]
+        fn damping_step_matches_rz_then_kraus(n in 1..9usize, seed in 0..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = random_state(n, &mut rng);
+            for q in 0..n {
+                for gamma in [rng.random::<f64>(), rng.random::<f64>() * 1e-3, 1.0] {
+                    let theta = angle(&mut rng);
+                    let draw = rng.random::<u64>();
+                    let mut got = s.clone();
+                    let jumped = got.apply_damping(gamma, theta, q, &mut StdRng::seed_from_u64(draw));
+                    let mut want = s.clone();
+                    reference::apply_rz(&mut want, theta, q);
+                    let kraus = amplitude_damping_kraus(gamma);
+                    let k0_weight = reference::branch_weight(&want, &kraus[0], q);
+                    reference::apply_kraus_1q(&mut want, &kraus, q, &mut StdRng::seed_from_u64(draw));
+                    let r: f64 = StdRng::seed_from_u64(draw).random();
+                    prop_assert_eq!(jumped, r >= k0_weight, "branch on {} at γ {}", q, gamma);
+                    for (a, b) in got.amps.iter().zip(&want.amps) {
+                        prop_assert!(
+                            (a.re - b.re).abs() <= 1e-14 && (a.im - b.im).abs() <= 1e-14,
+                            "damping on {} at γ {}: {:?} vs {:?}", q, gamma, a, b
+                        );
+                    }
+                }
             }
         }
     }

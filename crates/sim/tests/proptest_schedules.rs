@@ -145,13 +145,19 @@ proptest! {
 // thresholds: the dense engine draws each shot's charge-parity sign
 // and quasi-static detuning from its own sequential stream and applies
 // the accumulated phase exactly, sharing no sampling code with the
-// hashed bit-plane ladders. In this Ramsey circuit each qubit's bank
+// hashed bit-plane ladders. In each circuit below every qubit's bank
 // flushes once, at its closing H, so the frame engine's Pauli twirl is
 // exact in distribution and both engines sample the same outcome
 // distribution. Four measured qubits keep the outcome space small (16
 // patterns), so the empirical TVD between two 8192-shot runs of the
 // same distribution concentrates well below the 0.1 band asserted
 // here.
+//
+// The Ramsey case checks the bank's magnitude. The asymmetric echo
+// (`h`, τ₁, `x`, τ₂ = τ₁/2, `h`) checks its sign: the X pulse negates
+// the bank instead of flushing it, so the phase that survives is that
+// of τ₁ − τ₂. A walk that kept the bank's sign would dephase over
+// τ₁ + τ₂ and move every marginal well outside the 0.05 band.
 #[test]
 fn frame_batch_bank_draws_match_dense_ramsey() {
     let n = 4;
@@ -170,30 +176,44 @@ fn frame_batch_bank_draws_match_dense_ramsey() {
         readout_error: true,
         ..NoiseConfig::ideal()
     };
-    let mut qc = Circuit::new(n, n);
+    let mut ramsey = Circuit::new(n, n);
+    let mut echo = Circuit::new(n, n);
     for q in 0..n {
-        qc.h(q).delay(1500.0 * (q + 1) as f64, q).h(q).measure(q, q);
+        ramsey
+            .h(q)
+            .delay(1500.0 * (q + 1) as f64, q)
+            .h(q)
+            .measure(q, q);
+        let tau = 2000.0 * (q + 1) as f64;
+        echo.h(q)
+            .delay(tau, q)
+            .x(q)
+            .delay(tau / 2.0, q)
+            .h(q)
+            .measure(q, q);
     }
-    let sc = schedule_asap(&qc, GateDurations::default());
-    let run = |engine| {
-        Simulator::with_engine(dev.clone(), noise, engine)
-            .run_counts(&sc, shots, 41)
-            .unwrap()
-    };
-    let frame = run(Engine::FrameBatch);
-    let dense = run(Engine::Statevector);
-    let mut tvd = 0.0f64;
-    for pattern in 0..16u64 {
-        tvd += (frame.probability(pattern) - dense.probability(pattern)).abs();
-    }
-    tvd /= 2.0;
-    assert!(
-        tvd < 0.1,
-        "frame/dense TVD {tvd:.4} outside the shot-noise band"
-    );
-    for c in 0..n {
-        let d = (frame.marginal_one(c) - dense.marginal_one(c)).abs();
-        assert!(d < 0.05, "clbit {c}: marginal gap {d:.4}");
+    for (name, qc) in [("ramsey", ramsey), ("echo", echo)] {
+        let sc = schedule_asap(&qc, GateDurations::default());
+        let run = |engine| {
+            Simulator::with_engine(dev.clone(), noise, engine)
+                .run_counts(&sc, shots, 41)
+                .unwrap()
+        };
+        let frame = run(Engine::FrameBatch);
+        let dense = run(Engine::Statevector);
+        let mut tvd = 0.0f64;
+        for pattern in 0..16u64 {
+            tvd += (frame.probability(pattern) - dense.probability(pattern)).abs();
+        }
+        tvd /= 2.0;
+        assert!(
+            tvd < 0.1,
+            "{name}: frame/dense TVD {tvd:.4} outside the shot-noise band"
+        );
+        for c in 0..n {
+            let d = (frame.marginal_one(c) - dense.marginal_one(c)).abs();
+            assert!(d < 0.05, "{name} clbit {c}: marginal gap {d:.4}");
+        }
     }
 }
 
