@@ -171,8 +171,9 @@ fn lf_sweep_cold_vs_cached(
     let ensemble = sweep(&cached_session, true);
     let ensemble_s = t.elapsed().as_secs_f64();
 
-    // Warm rerun against the populated cache: every job's compiled
-    // artifact is served from the LRU.
+    // Warm rerun against the populated cache: both program lookups of
+    // every dressed job (its base circuit's timeline and its own frame
+    // program) are served from the LRU.
     let before_warm = cached_session.cache_stats();
     let t = Instant::now();
     let warm = sweep(&cached_session, true);

@@ -90,8 +90,8 @@ pub fn layer_anchor_items(
 
 /// Runs PEC for one Pauli observable on a compiled circuit whose
 /// layer applications are anchored at `anchors`: samples the inverse
-/// channel per shot, executes every instance against one cached
-/// plan (compiled through the session's LRU plan cache), and returns
+/// channel per shot, executes every instance against one compiled
+/// plan (its seed-free program cached in the session), and returns
 /// the mitigated and paired raw estimates.
 pub fn mitigate_pauli(
     session: &Session,

@@ -34,9 +34,9 @@
 //! `GET /stats` surfaces per-tenant [`ca_sim::session::CacheStats`]
 //! plus the `ca-obs` counters/histograms, `GET /healthz` is a
 //! liveness probe, and `POST /v1/jobs` runs a job. The `ca-serverd`
-//! bin wires this up behind a CLI; `cargo bench -p ca-bench --bench
-//! serve` drives it with the load generator that writes
-//! `BENCH_serve.json`.
+//! bin wires this up behind a CLI; the `serve_mix8` workload of the
+//! end-to-end benchmark (`e2ebench/`) drives it with closed-loop
+//! clients.
 
 #![forbid(unsafe_code)]
 

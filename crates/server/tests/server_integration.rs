@@ -425,6 +425,43 @@ fn stats_surface_cache_and_counters() {
 }
 
 #[test]
+fn fresh_seeds_of_one_circuit_hit_the_plan_cache() {
+    // Serving draws a fresh seed per request: every seed after the
+    // first must reuse the circuit's cached program.
+    const SEEDS: u64 = 6;
+    let handle = spawn(test_config());
+    for seed in 0..SEEDS {
+        let response = request(
+            &handle,
+            "POST",
+            "/v1/jobs",
+            Some(&job_body(
+                &bell_qasm(),
+                64,
+                1000 + seed,
+                ",\"tenant\":\"fresh-t\"",
+            )),
+        );
+        assert_eq!(response.status, 200);
+    }
+    let stats = request(&handle, "GET", "/stats", None);
+    assert_eq!(stats.status, 200);
+    let doc = serde_json::parse_value(&stats.body_text()).expect("stats JSON");
+    let hits = doc
+        .get("tenants")
+        .get("fresh-t")
+        .get("cache_hits")
+        .as_f64()
+        .unwrap_or(0.0);
+    assert!(
+        hits >= (SEEDS - 1) as f64,
+        "fresh seeds must share one cached program: {}",
+        stats.body_text()
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn concurrent_submissions_are_bit_identical_to_serial_replay() {
     let handle = spawn(test_config());
     let jobs: Vec<(usize, u64)> = (0..8).map(|i| (65 + i, 100 + i as u64)).collect();

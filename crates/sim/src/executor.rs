@@ -345,6 +345,7 @@ impl Simulator {
     /// themselves), with the worker cap and cancellation of
     /// [`Self::run_counts_dense_plan`]. The per-chunk sums fold in
     /// chunk order, so the result does not depend on the worker count.
+    /// Each trajectory's expectation evaluation counts as *reduction*.
     pub(crate) fn expect_paulis_dense_plan(
         &self,
         plan: &ExecutionPlan,
@@ -363,9 +364,11 @@ impl Simulator {
             || vec![0.0; paulis.len()],
             |rng, acc| {
                 let (st, _) = self.trajectory(plan, rng);
-                for (i, p) in paulis.iter().enumerate() {
-                    acc[i] += st.expect_pauli(p);
-                }
+                time_engine_phase("reduction", || {
+                    for (i, p) in paulis.iter().enumerate() {
+                        acc[i] += st.expect_pauli(p);
+                    }
+                });
             },
         )?;
         Ok(time_engine_phase("reduction", || {

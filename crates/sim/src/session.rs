@@ -19,31 +19,28 @@
 //!   artifact, so their results are the artifact's at the same seed,
 //!   for any shot and worker count.
 //! * [`Session`] — a simulator (shared by every artifact it compiles)
-//!   plus a two-level LRU plan cache and a job API. Level one caches
-//!   seeded [`CompiledCircuit`]s per `(circuit, seed)` — a few hundred
-//!   bytes each, since they share their program. Level two caches the
+//!   plus an LRU plan cache and a job API. The cache holds the
 //!   seed-*independent* program per circuit: the timeline plan and the
 //!   batch program with its bank tables and serial item table, built
 //!   once and shared by every seed. Re-seeded submissions of one
 //!   circuit (twirl averaging, paired PEC estimates, fresh-seed
-//!   serving) therefore pay only the reference run on level-one
-//!   misses. [`Session::submit`] fans
-//!   independent jobs out across worker threads at *job* granularity
-//!   (twirl ensembles run concurrently) while shot-level chunking
-//!   stays inside each job. Results are deterministic regardless of
-//!   cache hits, eviction history, or worker count. The env toggle
-//!   `CA_SIM_PLAN_CACHE=0` disables caching (CI runs the equivalence
-//!   suites both ways).
+//!   serving) therefore pay only the reference run.
+//!   [`Session::submit`] fans independent jobs out across worker
+//!   threads at *job* granularity (twirl ensembles run concurrently)
+//!   while shot-level chunking stays inside each job. Results are
+//!   deterministic regardless of cache hits, eviction history, or
+//!   worker count. The env toggle `CA_SIM_PLAN_CACHE=0` disables
+//!   caching (CI runs the equivalence suites both ways).
 //! * [`Session::compiled_dressed`] / [`Job::with_dressing`] — the
 //!   twirl-ensemble fast path: twirl instances of one schedule
 //!   differ only in which merged Pauli occupies each twirl slot
 //!   (merged gates are zero-width, error-free, and Stark-invisible),
 //!   so every instance provably shares the base's timeline. An
 //!   instance is derived by substituting those Paulis and building
-//!   only its frame program (cached per instance in level two) over
-//!   the *shared* `Arc<ExecutionPlan>` — the pass pipeline and
-//!   segmentation are never paid again — and is bit-identical to
-//!   compiling the dressed circuit from scratch.
+//!   only its frame program (cached per instance) over the *shared*
+//!   `Arc<ExecutionPlan>` — the pass pipeline and segmentation are
+//!   never paid again — and is bit-identical to compiling the dressed
+//!   circuit from scratch.
 
 use crate::cancel::CancelToken;
 use crate::engine::{Engine, DENSE_MAX_QUBITS};
@@ -56,7 +53,7 @@ use crate::plan::{map_batches, ExecutionPlan};
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::Tableau;
 use ca_circuit::pauli::Pauli;
-use ca_circuit::{Fnv, Gate, PauliString, ScheduledCircuit};
+use ca_circuit::{Gate, PauliString, ScheduledCircuit};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -73,7 +70,7 @@ enum Backend {
 }
 
 /// The seed-independent half of a compiled artifact, and the entry
-/// type of a [`Session`]'s level-two cache: a circuit, its timeline
+/// type of a [`Session`]'s plan cache: a circuit, its timeline
 /// plan and — built the first time a seeded artifact needs it — its
 /// engine program. Every seed of the circuit shares one program; a
 /// twirl instance's program shares its base circuit's timeline plan.
@@ -119,11 +116,11 @@ struct Reference {
 /// An owned, hashable, reusable compiled execution artifact: a shared
 /// seed-free [`Program`] plus the seed.
 ///
-/// `Send + Sync`: safe to cache in a [`Session`], share behind an
-/// [`Arc`], and run from many threads at once. All run methods take
-/// `&self` and are bit-identical to the corresponding one-shot
-/// [`Simulator`] calls with the same circuit and seed, for any shot
-/// count and worker count.
+/// `Send + Sync`: safe to share behind an [`Arc`] and run from many
+/// threads at once. All run methods take `&self` and are
+/// bit-identical to the corresponding one-shot [`Simulator`] calls
+/// with the same circuit and seed, for any shot count and worker
+/// count.
 pub struct CompiledCircuit {
     sim: Arc<Simulator>,
     program: Arc<Program>,
@@ -409,25 +406,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The level-one cache key: circuit structure ⊕ seed. A session's
-/// simulator never changes, so nothing else can tell two artifacts
-/// apart. Equal keys mean "the same artifact up to 64-bit hash
-/// collisions"; the cache verifies circuit and seed on every hit, so a
-/// collision costs a recompile, never a wrong plan.
-fn artifact_key(sc: &ScheduledCircuit, seed: u64) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(sc.structural_hash());
-    h.u64(seed);
-    h.finish()
-}
-
 impl Simulator {
     /// Compiles `sc` into an owned, reusable [`CompiledCircuit`]:
     /// resolves the engine per the simulator's [`Engine`] policy,
     /// builds the timeline plan, and precompiles the frame programs.
-    /// The uncached single-compile entry point — sessions add the LRU
-    /// cache on top, and every one-shot run ([`Self::run_counts`],
-    /// [`Self::expect_paulis`]) goes through here.
+    /// The uncached single-compile entry point — sessions cache the
+    /// seed-free program on top, and every one-shot run
+    /// ([`Self::run_counts`], [`Self::expect_paulis`]) goes through
+    /// here.
     pub fn compile(&self, sc: &ScheduledCircuit, seed: u64) -> Result<CompiledCircuit, SimError> {
         let sc = Arc::new(sc.clone());
         let plan = Arc::new(ExecutionPlan::build_arc(
@@ -663,106 +649,90 @@ impl Job {
     }
 }
 
-/// Observability counter names for one [`Lru`] level (static so
-/// recording stays allocation-free).
-struct LruCounterNames {
-    hit: &'static str,
-    miss: &'static str,
-    eviction: &'static str,
-    verify_mismatch: &'static str,
-}
-
-/// A small LRU keyed by a 64-bit structural hash. Hits are verified
-/// by the caller-supplied predicate, so hash collisions degrade to
-/// misses instead of serving wrong values.
-struct Lru<T> {
+/// The session's LRU of seed-free [`Program`]s, keyed by the
+/// circuit's 64-bit structural hash. Hits are verified against the
+/// stored circuit, so hash collisions degrade to misses instead of
+/// serving a wrong plan.
+struct ProgramCache {
     capacity: usize,
     stamp: u64,
-    entries: BTreeMap<u64, (Arc<T>, u64)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    verify_mismatches: u64,
-    obs: LruCounterNames,
+    entries: BTreeMap<u64, (Arc<Program>, u64)>,
+    stats: CacheStats,
 }
 
-impl<T> Lru<T> {
-    fn new(capacity: usize, obs: LruCounterNames) -> Self {
+impl ProgramCache {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
             stamp: 0,
             entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            verify_mismatches: 0,
-            obs,
+            stats: CacheStats::default(),
         }
     }
 
-    fn get(&mut self, key: u64, verify: impl FnOnce(&T) -> bool) -> Option<Arc<T>> {
+    fn get(&mut self, key: u64, sc: &ScheduledCircuit) -> Option<Arc<Program>> {
         self.stamp += 1;
         let stamp = self.stamp;
         match self.entries.get_mut(&key) {
-            Some((v, used)) => {
-                if verify(v) {
-                    *used = stamp;
-                    self.hits += 1;
-                    ca_obs::counter_add(self.obs.hit, 1);
-                    Some(v.clone())
-                } else {
-                    // 64-bit key collision: the entry under this key
-                    // is a different circuit. Degrades to a miss (the
-                    // caller recompiles); never serves a wrong plan.
-                    self.verify_mismatches += 1;
-                    self.misses += 1;
-                    ca_obs::counter_add(self.obs.verify_mismatch, 1);
-                    ca_obs::counter_add(self.obs.miss, 1);
-                    None
-                }
+            Some((p, used)) if *p.sc == *sc => {
+                *used = stamp;
+                self.stats.hits += 1;
+                ca_obs::counter_add("session.exec_cache.hit", 1);
+                return Some(p.clone());
             }
-            None => {
-                self.misses += 1;
-                ca_obs::counter_add(self.obs.miss, 1);
-                None
+            // 64-bit key collision: the entry under this key is a
+            // different circuit. Degrades to a miss (the caller
+            // recompiles); never serves a wrong plan.
+            Some(_) => {
+                self.stats.verify_mismatches += 1;
+                ca_obs::counter_add("session.exec_cache.verify_mismatch", 1);
             }
+            None => {}
         }
+        self.stats.misses += 1;
+        ca_obs::counter_add("session.exec_cache.miss", 1);
+        None
     }
 
-    fn insert(&mut self, key: u64, value: Arc<T>) {
+    fn insert(&mut self, key: u64, program: Arc<Program>) {
         if self.capacity == 0 {
             return;
         }
         self.stamp += 1;
-        self.entries.insert(key, (value, self.stamp));
+        self.entries.insert(key, (program, self.stamp));
         while self.entries.len() > self.capacity {
-            let oldest = self
+            let Some(oldest) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| *k)
-                .expect("non-empty cache"); // ca-lint: allow(panic) -- eviction only runs when the cache is non-empty
+            else {
+                break;
+            };
             self.entries.remove(&oldest);
-            self.evictions += 1;
-            ca_obs::counter_add(self.obs.eviction, 1);
+            self.stats.evictions += 1;
+            ca_obs::counter_add("session.exec_cache.eviction", 1);
         }
     }
 }
 
-/// Cache traffic counters (see [`Session::cache_stats`]).
+/// Plan-cache traffic counters (see [`Session::cache_stats`]). A
+/// lookup is one circuit's seed-free program: a plain compile looks up
+/// one, a frame-engine twirl instance two (its base circuit's timeline
+/// and its own program).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Compiled-artifact lookups served from the cache.
+    /// Program lookups served from the cache.
     pub hits: u64,
-    /// Compiled-artifact lookups that compiled fresh.
+    /// Program lookups that built the program fresh.
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
     /// Lookups whose 64-bit key matched a different circuit: the hit
-    /// was rejected by verification and recompiled (also counted in
+    /// was rejected by verification and rebuilt (also counted in
     /// `misses`).
     pub verify_mismatches: u64,
-    /// Compiled artifacts currently cached.
+    /// Programs currently cached.
     pub len: usize,
 }
 
@@ -778,14 +748,11 @@ impl CacheStats {
     }
 }
 
-/// Default plan-cache capacity, per level: large enough to hold a
-/// full multi-strategy sweep's twirl ensemble. Level-one entries are
-/// seeded handles of a few hundred bytes (plus a reference tableau
-/// once an expectation ran: `n²/2` bytes, 0.63 MB at 1121 qubits);
-/// the memory bound is level two, which holds one program per
-/// distinct circuit — about 1 MB for a 1121-qubit circuit, mostly its
-/// per-qubit bank tables, so 128 distinct 1121-qubit circuits can
-/// hold ~130 MB. Fresh seeds of one circuit add no program.
+/// Default plan-cache capacity: large enough to hold a full
+/// multi-strategy sweep's twirl ensemble. Each entry is one circuit's
+/// seed-free program — about 1 MB for a 1121-qubit circuit, mostly its
+/// per-qubit bank tables, so 128 distinct 1121-qubit circuits can hold
+/// ~130 MB. Fresh seeds of one circuit add no entry.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
 /// The plan-cache capacity [`Session::new`] resolves from the
@@ -807,19 +774,16 @@ pub fn plan_cache_capacity_from_env() -> usize {
 }
 
 /// A simulator with a plan cache and a job API — the serving layer:
-/// compile each distinct `(circuit, seed)` once, answer every
-/// subsequent submission from the cache, and fan independent jobs
-/// out across worker threads.
+/// build each distinct circuit's seed-free program once, seed it per
+/// submission, and fan independent jobs out across worker threads.
 ///
 /// Results are deterministic: bit-identical across cache hits and
 /// misses, eviction histories, and worker counts.
 pub struct Session {
     /// Shared by every artifact the session compiles.
     sim: Arc<Simulator>,
-    /// Level one: seeded artifacts per `(circuit, seed)`.
-    cache: Mutex<Lru<CompiledCircuit>>,
-    /// Level two: seed-free programs per circuit.
-    programs: Mutex<Lru<Program>>,
+    /// Seed-free programs per circuit.
+    programs: Mutex<ProgramCache>,
 }
 
 impl Session {
@@ -834,24 +798,7 @@ impl Session {
     pub fn with_capacity(sim: Simulator, capacity: usize) -> Self {
         Self {
             sim: Arc::new(sim),
-            cache: Mutex::new(Lru::new(
-                capacity,
-                LruCounterNames {
-                    hit: "session.cache.hit",
-                    miss: "session.cache.miss",
-                    eviction: "session.cache.eviction",
-                    verify_mismatch: "session.cache.verify_mismatch",
-                },
-            )),
-            programs: Mutex::new(Lru::new(
-                capacity,
-                LruCounterNames {
-                    hit: "session.exec_cache.hit",
-                    miss: "session.exec_cache.miss",
-                    eviction: "session.exec_cache.eviction",
-                    verify_mismatch: "session.exec_cache.verify_mismatch",
-                },
-            )),
+            programs: Mutex::new(ProgramCache::new(capacity)),
         }
     }
 
@@ -860,37 +807,34 @@ impl Session {
         &self.sim
     }
 
-    /// Cache traffic counters and current size (compiled-artifact
-    /// level): hits, misses, evictions, and verification rejections
-    /// of colliding keys.
+    /// The locked plan cache. Lock scopes cover only cache lookups
+    /// and inserts, which run no engine code.
+    fn programs(&self) -> std::sync::MutexGuard<'_, ProgramCache> {
+        self.programs.lock().expect("program cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
+    }
+
+    /// Plan-cache traffic counters and current size: hits, misses,
+    /// evictions, and verification rejections of colliding keys.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.lock().expect("plan cache"); // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
+        let cache = self.programs();
         CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            verify_mismatches: cache.verify_mismatches,
             len: cache.entries.len(),
+            ..cache.stats
         }
     }
 
-    /// The seed-free program for `sc`, through the level-two cache.
-    /// On a miss the program takes `timeline` when given (a twirl
-    /// instance shares its base circuit's timeline plan) and builds
-    /// the timeline plan from `sc` otherwise; its engine program is
-    /// built by the first seeded artifact that needs it.
+    /// The seed-free program for `sc`, through the plan cache. On a
+    /// miss the program takes `timeline` when given (a twirl instance
+    /// shares its base circuit's timeline plan) and builds the
+    /// timeline plan from `sc` otherwise; its engine program is built
+    /// by the first seeded artifact that needs it.
     fn program(
         &self,
         sc: &ScheduledCircuit,
         timeline: Option<Arc<ExecutionPlan>>,
     ) -> Result<Arc<Program>, SimError> {
         let key = sc.structural_hash();
-        if let Some(hit) = self
-            .programs
-            .lock()
-            .expect("program cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key, |p| *p.sc == *sc)
-        {
+        if let Some(hit) = self.programs().get(key, sc) {
             return Ok(hit);
         }
         let sc = Arc::new(sc.clone());
@@ -903,39 +847,16 @@ impl Session {
             )?),
         };
         let program = Arc::new(Program::new(sc, plan));
-        self.programs
-            .lock()
-            .expect("program cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key, program.clone());
+        self.programs().insert(key, program.clone());
         Ok(program)
     }
 
-    /// The compiled artifact for `(sc, seed)`: served from the LRU
-    /// cache when present (verified against the circuit, so hash
-    /// collisions can only cost a recompile), compiled and cached
-    /// otherwise. Level-one misses still reuse the circuit's cached
-    /// program (timeline plan and engine program) across seeds.
-    pub fn compiled(
-        &self,
-        sc: &ScheduledCircuit,
-        seed: u64,
-    ) -> Result<Arc<CompiledCircuit>, SimError> {
-        let key = artifact_key(sc, seed);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key, |c| c.seed() == seed && *c.circuit() == *sc)
-        {
-            return Ok(hit);
-        }
-        let program = self.program(sc, None)?;
-        let compiled = Arc::new(seeded(&self.sim, program, seed)?);
-        self.cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key, compiled.clone());
-        Ok(compiled)
+    /// The compiled artifact for `(sc, seed)`: the circuit's cached
+    /// program (timeline plan and engine program, verified against the
+    /// circuit, so hash collisions can only cost a rebuild) seeded with
+    /// `seed`.
+    pub fn compiled(&self, sc: &ScheduledCircuit, seed: u64) -> Result<CompiledCircuit, SimError> {
+        seeded(&self.sim, self.program(sc, None)?, seed)
     }
 
     /// The compiled artifact for a dressed twirl instance: the base
@@ -949,17 +870,8 @@ impl Session {
         base: &ScheduledCircuit,
         dressing: &[(usize, Pauli)],
         seed: u64,
-    ) -> Result<Arc<CompiledCircuit>, SimError> {
+    ) -> Result<CompiledCircuit, SimError> {
         let dressed = apply_dressing(base, dressing)?;
-        let key = artifact_key(&dressed, seed);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key, |c| c.seed() == seed && *c.circuit() == dressed)
-        {
-            return Ok(hit);
-        }
         // Resolve through the simulator's own dispatch so this branch
         // can never disagree with the engine `build_backend` picks.
         // Dense resolution: the plan must be built from the dressed
@@ -970,13 +882,7 @@ impl Session {
         } else {
             None
         };
-        let program = self.program(&dressed, timeline)?;
-        let compiled = Arc::new(seeded(&self.sim, program, seed)?);
-        self.cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key, compiled.clone());
-        Ok(compiled)
+        seeded(&self.sim, self.program(&dressed, timeline)?, seed)
     }
 
     /// Runs one job (compiling through the cache). The job's relative
@@ -1031,7 +937,7 @@ impl Session {
         cancel: Option<&CancelToken>,
     ) -> Result<JobOutput, SimError> {
         // AssertUnwindSafe: job execution never holds the session's
-        // cache locks while running user circuits (lock scopes cover
+        // cache lock while running user circuits (lock scopes cover
         // only LRU get/insert, which call no engine code), so a caught
         // panic cannot leave a cache entry half-written.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1203,6 +1109,7 @@ mod tests {
         assert_eq!(cold, recompiled, "eviction never changes results");
         let stats = session.cache_stats();
         assert_eq!(stats.hits, 1, "A was evicted, so no further hits");
+        assert_eq!(stats.evictions, 2);
         assert_eq!(stats.len, 1);
     }
 
@@ -1241,7 +1148,7 @@ mod tests {
     }
 
     /// 64 fresh seeds of one circuit share one seed-free program
-    /// through the level-two cache, none builds a reference tableau
+    /// through the plan cache, none builds a reference tableau
     /// until an expectation asks for one, and every result equals the
     /// uncached session's.
     #[test]
@@ -1254,9 +1161,11 @@ mod tests {
             PauliString::parse("ZZIIII").unwrap(),
             PauliString::parse("IXYIIZ").unwrap(),
         ];
-        let artifacts: Vec<Arc<CompiledCircuit>> = (0..64)
+        let artifacts: Vec<CompiledCircuit> = (0..64)
             .map(|i| cached.compiled(&sc, 1000 + i).unwrap())
             .collect();
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (63, 1, 1));
         for (i, a) in artifacts.iter().enumerate() {
             assert!(Arc::ptr_eq(a.program(), artifacts[0].program()), "seed {i}");
             let counts = a.run_counts(257, &none, None).unwrap();

@@ -48,7 +48,8 @@ fn main() {
     for strategy in Strategy::ALL {
         // Four independently twirled compile instances, submitted as
         // one job batch: the session fans them out across worker
-        // threads and answers repeats from the plan cache.
+        // threads and builds each distinct circuit's seed-free
+        // program once, in its plan cache.
         let instances = 4u64;
         let jobs: Vec<Job> = (0..instances)
             .map(|seed| {
@@ -72,7 +73,7 @@ fn main() {
     println!();
     println!("Expected shape: bare lowest; context-aware strategies highest.");
     println!(
-        "plan cache: {} compiled, {} served from cache",
+        "plan cache: {} programs built, {} reused",
         stats.misses, stats.hits
     );
 }
