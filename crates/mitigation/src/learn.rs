@@ -169,19 +169,18 @@ pub fn learn_layer_channel(
 
     // One session per engine policy: strictly Clifford decay circuits
     // run on the pinned frame-batch session, CA-EC's non-Clifford
-    // compensations on the auto session (dense at small sizes). The
-    // sessions' plan caches persist across every (experiment, depth,
-    // instance) job of this learning run.
-    let frame_session = Session::new(Simulator::with_engine(
-        device.clone(),
-        config.noise,
-        Engine::FrameBatch,
-    ));
-    let auto_session = Session::new(Simulator::with_engine(
-        device.clone(),
-        config.noise,
-        Engine::Auto,
-    ));
+    // compensations on the auto session (dense at small sizes). Every
+    // (experiment, depth, instance) point is a distinct circuit that
+    // runs once, so no job could hit a cached plan: both sessions run
+    // uncached.
+    let frame_session = Session::with_capacity(
+        Simulator::with_engine(device.clone(), config.noise, Engine::FrameBatch),
+        0,
+    );
+    let auto_session = Session::with_capacity(
+        Simulator::with_engine(device.clone(), config.noise, Engine::Auto),
+        0,
+    );
 
     // Compile every (experiment, depth, instance) point up front and
     // run them as one job batch per session — experiments fan out

@@ -2,37 +2,63 @@
 //! the context-aware noise model.
 //!
 //! Per shot, coherent Z/ZZ phases accumulate in *scalar pending banks*
-//! (one per qubit / crosstalk edge) and are flushed into the
-//! statevector lazily — immediately before any non-diagonal unitary on
-//! an involved qubit, before projections, and at the end. This is
-//! exact for diagonal noise and makes dynamical decoupling work with
-//! no special casing: the inserted X pulses conjugate earlier flushed
-//! phases precisely as on hardware.
+//! (one per qubit / crosstalk edge) and are flushed lazily —
+//! immediately before any non-diagonal unitary on an involved qubit,
+//! before projections, and at the end. This is exact for diagonal
+//! noise and makes dynamical decoupling work with no special casing:
+//! the inserted X pulses conjugate earlier flushed phases precisely as
+//! on hardware.
 //!
-//! Virtual `Rz` gates (the compiler's compensations) do not touch the
+//! Diagonal 1q gates (`Rz`, the compiler's compensations, and `Z`,
+//! `S`, `S†`, `T`, `T†` as `Rz` up to a global phase) do not touch the
 //! state when they run: each adds its angle to the qubit's *gate-phase
-//! bank*, which the next flush applies in the same `Rz` pass as the
-//! noise bank. A gate-error Pauli landing on a qubit applies that
-//! qubit's gate-phase bank first, so the error sits after every gate
-//! phase already run, as if each had been applied in place; the noise
-//! banks stay pending across it, as before.
+//! bank*, which the next flush takes with the noise bank. A gate-error
+//! Pauli landing on a qubit folds that qubit's gate-phase bank into its
+//! own pass, so the error sits after every gate phase already run, as
+//! if each had been applied in place; the noise banks stay pending
+//! across it.
 //!
-//! A flush with amplitude damping due runs the Monte-Carlo-wavefunction
-//! jump step as one weight read and one write pass
-//! ([`State::apply_damping`]); the qubit's pending `Rz` rides that
-//! pass (it commutes with the edges' `Rzz` passes, which go first).
-//! The draw order is unchanged: one draw for the damping branch, then
-//! one for the dephasing kick. Folding and fusing change amplitudes by
-//! rounding only (`cis(a)·cis(b)` is not `cis(a+b)` in floating point).
+//! **A flush has no pass of its own.** It applies the `Rzz` of the
+//! qubit's other edges and *returns* the qubit's pending diagonal: the
+//! noise and gate `Rz`, the damping K0 and the dephasing kick. The
+//! gate that forced the flush multiplies it into its own matrix; a 2q
+//! gate folds in both operands' diagonals and its own edge's pending
+//! `Rzz`. A measurement or reset folds it into its collapse pass; the
+//! final flush applies it.
+//!
+//! **The norm is deferred.** Amplitude damping draws first. A draw
+//! `r < 1−γ` cannot jump whatever the weights, so it reads nothing and
+//! leaves K0 = `diag(1, √(1−γ))` unnormalised in the diagonal. Any
+//! other draw reads the qubit's weights once and jumps iff
+//! `r·(w_lo+w_hi) ≥ w_lo+(1−γ)·w_hi` and `γ·w_hi > 0`, renormalising on
+//! that read. A measurement reads its qubit's weights once, and one
+//! pass zeroes the other half and scales the kept one by the pending
+//! diagonal and the norm. The trajectory renormalises once, at the end.
+//! A running lower bound `Π(1−γ)` on the squared norm forces a read
+//! before it would fall below `2⁻⁵⁰⁰`.
+//!
+//! Two ordering rules keep a read equal to the unfused walk's:
+//! - a jump follows the gate edge's `Rzz` (it does not commute with
+//!   `|0⟩⟨1|`), so a read applies that pending `Rzz` first;
+//! - the partner operand, flushed first, may hold an unnormalised K0
+//!   that changes the weights, so a read applies its diagonal first.
+//!
+//! The draw order is the unfused walk's: per flush one draw for the
+//! damping branch, then one for the dephasing kick. Folding moves
+//! amplitudes by rounding only (`cis(a)·cis(b)` is not `cis(a+b)` in
+//! floating point, and a folded matrix rounds its products once more).
 
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise};
 use crate::obs_util::{time_engine_phase, PhaseTimer};
+use crate::pauli_frame::diagonal_angle_1q;
 use crate::plan::{map_shots, seed_schedule_from_env, ExecutionPlan, PlanOp};
 use crate::result::RunResult;
-use crate::statevector::State;
+use crate::statevector::{rz_diag, Diag, State, IDENTITY_DIAG};
+use ca_circuit::c64::C64;
+use ca_circuit::matrix::{Mat2, Mat4};
 use ca_circuit::pauli::PauliString;
 use ca_circuit::{Gate, ScheduledCircuit};
 use ca_device::{phase_rad, Device};
@@ -86,60 +112,16 @@ impl Simulator {
         let n = plan.sc.num_qubits;
         let shot = ShotNoise::sample(&self.device, &self.config, rng);
         phase.tick_sampling();
-        let mut st = State::zero(n);
         let mut bits = vec![false; plan.sc.num_clbits.max(1)];
-        let mut banks = Banks {
+        let mut walk = Walk {
+            sim: self,
+            plan,
+            st: State::zero(n),
             rz: vec![0.0; n],
             gate_rz: vec![0.0; n],
             rzz: vec![0.0; plan.edge_pairs.len()],
             deco_dt: vec![0.0; n],
-        };
-
-        let flush_qubit = |q: usize, st: &mut State, banks: &mut Banks, rng: &mut StdRng| {
-            let rz = std::mem::take(&mut banks.rz[q]) + std::mem::take(&mut banks.gate_rz[q]);
-            let rz = if rz.abs() > 1e-15 { rz } else { 0.0 };
-            let cal = &self.device.calibration.qubits[q];
-            let dt = std::mem::take(&mut banks.deco_dt[q]);
-            let decays = self.config.decoherence && dt > 0.0;
-            let p_damp = if decays {
-                damping_prob(dt, cal.t1_us)
-            } else {
-                0.0
-            };
-            // With damping due, the Z phase rides the damping step's
-            // scale pass (diagonal, so it commutes past the Rzz passes).
-            if p_damp <= 0.0 && rz != 0.0 {
-                st.apply_rz(rz, q);
-            }
-            for &e in &plan.incident[q] {
-                if banks.rzz[e].abs() > 1e-15 {
-                    let (a, b) = plan.edge_pairs[e];
-                    st.apply_rzz(banks.rzz[e], a, b);
-                    banks.rzz[e] = 0.0;
-                }
-            }
-            if p_damp > 0.0 {
-                st.apply_damping(p_damp, rz, q, rng);
-            }
-            if decays {
-                let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
-                if p_z > 0.0 && rng.random::<f64>() < p_z {
-                    st.apply_rz(std::f64::consts::PI, q);
-                }
-            }
-        };
-        // A gate-error Pauli lands after every gate phase already
-        // accrued on its qubit, as if each virtual `Rz` had been applied
-        // when it ran: the qubit's gate-phase bank goes in first. The
-        // noise banks stay pending across it.
-        let land_pauli = |q: usize, pauli: Gate, st: &mut State, banks: &mut Banks| {
-            let th = std::mem::take(&mut banks.gate_rz[q]);
-            if th != 0.0 {
-                st.apply_rz(th, q);
-            }
-            if let Some(m) = pauli.matrix1() {
-                st.apply_1q(&m, q);
-            }
+            norm: NormBound(1.0),
         };
 
         for op in &plan.ops {
@@ -147,44 +129,43 @@ impl Simulator {
                 PlanOp::Segment(i) => {
                     let seg = &plan.segments[i];
                     for &(q, th) in &seg.rz_static {
-                        banks.rz[q] += th;
+                        walk.rz[q] += th;
                     }
                     for &(e, th) in &plan.seg_edges[i] {
-                        banks.rzz[e] += th;
+                        walk.rzz[e] += th;
                     }
                     for q in 0..n {
                         let rate = shot.z_rate_khz(&self.device, q);
                         if rate != 0.0 {
-                            banks.rz[q] += phase_rad(rate, seg.signed_dt(q));
+                            walk.rz[q] += phase_rad(rate, seg.signed_dt(q));
                         }
-                        banks.deco_dt[q] += seg.dt();
+                        walk.deco_dt[q] += seg.dt();
                     }
                     phase.tick_sampling();
                 }
                 PlanOp::Project { item } => {
                     let si = &plan.sc.items[item];
                     let q = si.instruction.qubits[0];
-                    flush_qubit(q, &mut st, &mut banks, rng);
+                    let d = walk.flush(q, None, None, rng);
                     phase.tick_propagation();
-                    match si.instruction.gate {
-                        Gate::Measure => {
-                            let outcome = st.measure(q, rng);
-                            let recorded = if self.config.readout_error {
-                                let p = self.device.calibration.qubits[q].readout_err;
-                                if rng.random::<f64>() < p {
-                                    !outcome
-                                } else {
-                                    outcome
-                                }
+                    // The plan emits `Project` for measure and reset only.
+                    let reset = si.instruction.gate == Gate::Reset;
+                    let outcome = walk.st.measure_diag(q, d, reset, rng);
+                    walk.norm = NormBound(1.0);
+                    if !reset {
+                        let recorded = if self.config.readout_error {
+                            let p = self.device.calibration.qubits[q].readout_err;
+                            if rng.random::<f64>() < p {
+                                !outcome
                             } else {
                                 outcome
-                            };
-                            if let Some(c) = si.instruction.clbit {
-                                bits[c] = recorded;
                             }
+                        } else {
+                            outcome
+                        };
+                        if let Some(c) = si.instruction.clbit {
+                            bits[c] = recorded;
                         }
-                        Gate::Reset => st.reset(q, rng),
-                        _ => unreachable!(), // ca-lint: allow(panic) -- plan stage rejects unknown ops before execution
                     }
                     phase.tick_sampling();
                 }
@@ -200,40 +181,42 @@ impl Simulator {
                     if !gate.is_unitary() {
                         continue;
                     }
-                    if !gate.is_diagonal() {
-                        for &q in &instr.qubits {
-                            flush_qubit(q, &mut st, &mut banks, rng);
-                        }
-                    }
                     match instr.qubits.len() {
                         1 => {
                             let q = instr.qubits[0];
-                            if let Gate::Rz(th) = gate {
-                                banks.gate_rz[q] += th;
+                            if let Some(th) = diagonal_angle_1q(gate) {
+                                walk.gate_rz[q] += th;
                             } else {
+                                let d = walk.flush(q, None, None, rng);
                                 // ca-lint: allow(panic) -- plan stage validated gate arity and unitarity
-                                st.apply_1q(&gate.matrix1().expect("1q unitary"), q);
+                                let m = gate.matrix1().expect("1q unitary");
+                                walk.st.apply_1q(&fold_1q(m, d), q);
                             }
                             if self.config.gate_error && !gate.is_virtual() && !instr.merged {
                                 let p = self.device.calibration.qubits[q].gate_err_1q;
                                 if p > 0.0 && rng.random::<f64>() < p {
                                     let k = rng.random_range(0..3usize);
-                                    land_pauli(
-                                        q,
-                                        [Gate::X, Gate::Y, Gate::Z][k],
-                                        &mut st,
-                                        &mut banks,
-                                    );
+                                    walk.land_pauli(q, [Gate::X, Gate::Y, Gate::Z][k]);
                                 }
                             }
                         }
                         2 => {
                             let (a, b) = (instr.qubits[0], instr.qubits[1]);
                             if let Gate::Rzz(th) = gate {
-                                st.apply_rzz(th, a, b);
+                                walk.st.apply_rzz(th, a, b);
                             } else {
                                 // ca-lint: allow(panic) -- plan stage validated gate arity and unitarity
-                                st.apply_2q(&gate.matrix2().expect("2q unitary"), a, b);
+                                let m = gate.matrix2().expect("2q unitary");
+                                let m = if gate.is_diagonal() {
+                                    m
+                                } else {
+                                    let edge = plan.edge_index.get(&(a.min(b), a.max(b))).copied();
+                                    let mut da = walk.flush(a, edge, None, rng);
+                                    let db = walk.flush(b, edge, Some((a, &mut da)), rng);
+                                    let zz = edge.map_or(0.0, |e| walk.take_rzz(e));
+                                    fold_2q(m, da, db, zz)
+                                };
+                                walk.st.apply_2q(&m, a, b);
                             }
                             if self.config.gate_error {
                                 let scale = plan.sc.durations.two_qubit_error_scale(&gate);
@@ -245,10 +228,10 @@ impl Simulator {
                                     let paulis =
                                         [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)];
                                     if let Some(g) = paulis[pa] {
-                                        land_pauli(a, g, &mut st, &mut banks);
+                                        walk.land_pauli(a, g);
                                     }
                                     if let Some(g) = paulis[pb] {
-                                        land_pauli(b, g, &mut st, &mut banks);
+                                        walk.land_pauli(b, g);
                                     }
                                 }
                             }
@@ -262,9 +245,15 @@ impl Simulator {
                 }
             }
         }
-        // Final flush so the returned state carries all trailing noise.
+        // Final flush so the returned state carries all trailing noise,
+        // then the one renormalisation the deferred norm needs.
         for q in 0..n {
-            flush_qubit(q, &mut st, &mut banks, rng);
+            let d = walk.flush(q, None, None, rng);
+            walk.st.apply_diag(d, q);
+        }
+        let mut st = walk.st;
+        if walk.norm != NormBound(1.0) {
+            st.renormalize();
         }
         phase.tick_propagation();
         phase.finish();
@@ -397,11 +386,37 @@ impl Simulator {
     }
 }
 
-/// One trajectory's pending phases and idle time, flushed per qubit.
-struct Banks {
+/// A lower bound on the state's squared norm: the product of the `1−γ`
+/// of every damping step decided without a read since the state was
+/// last normalised (exactly 1 when none was).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct NormBound(f64);
+
+impl NormBound {
+    /// `2⁻⁵⁰⁰`: the lowest bound a skipped read may leave. Amplitudes
+    /// stay far above the subnormal range below it.
+    const MIN: f64 = f64::from_bits(0x20b0_0000_0000_0000);
+
+    /// Whether a damping step with decay probability `gamma` and draw
+    /// `r` may skip its weight read: `r < 1−γ` rules a jump out for any
+    /// weights, and the bound, lowered by `1−γ`, stays at or above
+    /// [`Self::MIN`]. Otherwise the step reads, which renormalises.
+    fn skip_read(&mut self, gamma: f64, r: f64) -> bool {
+        let keep = 1.0 - gamma;
+        let skip = r < keep && self.0 * keep >= Self::MIN;
+        self.0 = if skip { self.0 * keep } else { 1.0 };
+        skip
+    }
+}
+
+/// One trajectory in flight: its state and pending banks.
+struct Walk<'a> {
+    sim: &'a Simulator,
+    plan: &'a ExecutionPlan,
+    st: State,
     /// Per qubit: the accrued coherent Z noise angle.
     rz: Vec<f64>,
-    /// Per qubit: the summed angles of the virtual `Rz` gates run
+    /// Per qubit: the summed angles of the diagonal 1q gates run
     /// since the last flush (or the last gate-error Pauli on it).
     gate_rz: Vec<f64>,
     /// Per crosstalk edge: the accrued ZZ angle.
@@ -409,6 +424,141 @@ struct Banks {
     /// Per qubit: the idle time its decoherence has not yet been
     /// applied for.
     deco_dt: Vec<f64>,
+    /// Lower bound on the state's squared norm.
+    norm: NormBound,
+}
+
+impl Walk<'_> {
+    /// Flushes qubit `q`'s banks and returns its pending diagonal, not
+    /// yet applied: the noise and gate `Rz`, the damping K0 (without
+    /// its norm unless a read decided it) and the dephasing kick. The
+    /// `Rzz` of every incident edge but `gate_edge` is applied here.
+    ///
+    /// Damping draws `r` first. When `r < 1−γ` no weights can make it
+    /// jump, so nothing is read, unless skipping the read would take
+    /// [`Self::norm`] below [`NormBound::MIN`]. A read sees the
+    /// state the unfused walk would: `partner`'s pending diagonal (the
+    /// other operand of the same gate, flushed first) is applied before
+    /// it, and so is `gate_edge`'s `Rzz`, which a jump must follow.
+    fn flush(
+        &mut self,
+        q: usize,
+        gate_edge: Option<usize>,
+        partner: Option<(usize, &mut Diag)>,
+        rng: &mut StdRng,
+    ) -> Diag {
+        let rz = std::mem::take(&mut self.rz[q]) + std::mem::take(&mut self.gate_rz[q]);
+        let mut d = if rz.abs() > 1e-15 {
+            rz_diag(rz)
+        } else {
+            IDENTITY_DIAG
+        };
+        let plan = self.plan;
+        for &e in &plan.incident[q] {
+            if Some(e) != gate_edge {
+                self.flush_edge(e);
+            }
+        }
+        let dt = std::mem::take(&mut self.deco_dt[q]);
+        if !(self.sim.config.decoherence && dt > 0.0) {
+            return d;
+        }
+        let cal = &self.sim.device.calibration.qubits[q];
+        let gamma = damping_prob(dt, cal.t1_us);
+        if gamma > 0.0 {
+            let r: f64 = rng.random();
+            if self.norm.skip_read(gamma, r) {
+                d[1] = d[1].scale((1.0 - gamma).sqrt());
+            } else {
+                if let Some((p, dp)) = partner {
+                    self.st.apply_diag(std::mem::replace(dp, IDENTITY_DIAG), p);
+                }
+                if let Some(e) = gate_edge {
+                    self.flush_edge(e);
+                }
+                d = self
+                    .st
+                    .damping_step(gamma, r, d, q)
+                    .unwrap_or(IDENTITY_DIAG);
+            }
+        }
+        let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
+        if p_z > 0.0 && rng.random::<f64>() < p_z {
+            d = [d[0] * C64::new(0.0, -1.0), d[1] * C64::new(0.0, 1.0)];
+        }
+        d
+    }
+
+    /// Takes edge `e`'s pending ZZ angle, or 0 when it is below the
+    /// flush threshold (which then stays pending).
+    fn take_rzz(&mut self, e: usize) -> f64 {
+        if self.rzz[e].abs() > 1e-15 {
+            std::mem::take(&mut self.rzz[e])
+        } else {
+            0.0
+        }
+    }
+
+    /// Applies edge `e`'s pending ZZ angle, if above the threshold.
+    fn flush_edge(&mut self, e: usize) {
+        let th = self.take_rzz(e);
+        if th != 0.0 {
+            let (a, b) = self.plan.edge_pairs[e];
+            self.st.apply_rzz(th, a, b);
+        }
+    }
+
+    /// Lands a gate-error Pauli on `q` after every gate phase already
+    /// accrued there, as if each diagonal gate had been applied when it
+    /// ran: the qubit's gate-phase bank is folded into the Pauli's
+    /// pass. The noise banks stay pending across it.
+    fn land_pauli(&mut self, q: usize, pauli: Gate) {
+        let th = std::mem::take(&mut self.gate_rz[q]);
+        if let Some(m) = pauli.matrix1() {
+            let d = if th != 0.0 {
+                rz_diag(th)
+            } else {
+                IDENTITY_DIAG
+            };
+            self.st.apply_1q(&fold_1q(m, d), q);
+        }
+    }
+}
+
+/// `m·diag(d)`: a 1q gate with its qubit's pending diagonal folded in
+/// (exactly `m` when `d` is the identity).
+fn fold_1q(mut m: Mat2, d: Diag) -> Mat2 {
+    if d != IDENTITY_DIAG {
+        for row in &mut m.0 {
+            for (e, &dc) in row.iter_mut().zip(&d) {
+                *e *= dc;
+            }
+        }
+    }
+    m
+}
+
+/// `m·(diag(d_b) ⊗ diag(d_a))·Rzz(zz)`: a 2q gate on `(a, b)` with
+/// both qubits' pending diagonals and its own edge's pending ZZ folded
+/// in (exactly `m` when all three are identities). Column `k` of the
+/// matrix is basis state `a + 2b`.
+fn fold_2q(mut m: Mat4, da: Diag, db: Diag, zz: f64) -> Mat4 {
+    if da == IDENTITY_DIAG && db == IDENTITY_DIAG && zz == 0.0 {
+        return m;
+    }
+    let (even, odd) = (C64::cis(-zz / 2.0), C64::cis(zz / 2.0));
+    let cols = [
+        da[0] * db[0] * even,
+        da[1] * db[0] * odd,
+        da[0] * db[1] * odd,
+        da[1] * db[1] * even,
+    ];
+    for row in &mut m.0 {
+        for (e, &dc) in row.iter_mut().zip(&cols) {
+            *e *= dc;
+        }
+    }
+    m
 }
 
 /// Packs classical bits little-endian into a u64 key.
@@ -608,6 +758,40 @@ mod tests {
         let p1 = res.probability(1);
         let expect = (-1.0f64).exp(); // decay over exactly T1.
         assert!((p1 - expect).abs() < 0.05, "p1 {p1} vs {expect}");
+    }
+
+    #[test]
+    fn norm_bound_forces_a_renormalise_before_underflow() {
+        // T1 ≪ the circuit: 4000 damping steps of 200 ns at T1 = 1 µs,
+        // 0.8 ms in all. Every draw is 0, below any 1−γ, so no step
+        // needs its read to decide the branch: only the bound forces
+        // one. Kept excited, the state's norm² falls as fast as the
+        // bound.
+        let gamma = damping_prob(200.0, 1.0);
+        let keep = 1.0 - gamma;
+        let steps = 4000;
+        assert_eq!(keep.powi(steps), 0.0, "the unread product underflows");
+        let mut bound = NormBound(1.0);
+        let mut st = State::basis(1, 1);
+        let mut reads = 0;
+        for _ in 0..steps {
+            if bound.skip_read(gamma, 0.0) {
+                st.apply_diag([C64::real(1.0), C64::real(keep.sqrt())], 0);
+            } else {
+                reads += 1;
+                let d = st.damping_step(gamma, 0.0, IDENTITY_DIAG, 0);
+                st.apply_diag(d.expect("a zero draw never jumps"), 0);
+                assert_eq!(bound, NormBound(1.0));
+                assert!((st.norm_sqr() - 1.0).abs() < 1e-12, "a read renormalises");
+            }
+            assert!(bound.0 >= NormBound::MIN);
+            assert!(
+                st.norm_sqr() >= bound.0 * (1.0 - 1e-9),
+                "the bound is a lower bound"
+            );
+        }
+        assert!(reads >= 2, "{reads} forced reads");
+        assert!(st.amps[1].re.is_normal());
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn clifford_supports(sc: &ScheduledCircuit) -> bool {
 /// The `Rz`-equivalent rotation angle of a single-qubit diagonal
 /// unitary (up to global phase): the angle the frame engines fold
 /// into the qubit's coherent Z bank.
-fn diagonal_angle_1q(gate: Gate) -> Option<f64> {
+pub(crate) fn diagonal_angle_1q(gate: Gate) -> Option<f64> {
     match gate {
         Gate::I => Some(0.0),
         Gate::Z => Some(std::f64::consts::PI),

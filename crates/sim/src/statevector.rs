@@ -1,7 +1,7 @@
 //! Dense statevector with the operations the trajectory engine needs:
 //! 1q/2q unitaries, fast diagonal Z/ZZ rotations (the coherent-error
 //! workhorse), Pauli expectations, projective measurement, and the
-//! amplitude-damping jump step.
+//! amplitude-damping read and jump step.
 //!
 //! Every kernel walks the index blocks its qubits split the amplitude
 //! vector into (`chunks_exact_mut(2·bit)` halves) instead of testing
@@ -20,13 +20,15 @@
 //! formula's, which the `#[cfg(test)]` reference kernels at the end of
 //! this file check on random states.
 //!
-//! [`State::apply_damping`] is the one kernel outside that rule: it
-//! fuses a pending `Rz`, the damping Kraus operator and the
-//! renormalisation into one scale, so it rounds differently from
-//! `apply_rz` + Kraus + renormalise. Its property test holds it to the
-//! reference sequence within 1e-14 per amplitude and to the same
-//! branch on the same draw; the trajectory-level fold it enables is
-//! held to the 1e-12 expectation golden in `tests/dense_goldens.rs`.
+//! Two kernels lie outside that rule, because each folds the flush's
+//! pending diagonal and a norm into its one write pass and so rounds
+//! differently from the sequence it replaces: [`State::damping_step`]
+//! (the damping read and jump) and [`State::measure_diag`] (measure or
+//! reset with the pending diagonal). Property tests hold them to the
+//! reference kernels' `Rz`, Kraus and renormalise, and diagonal,
+//! renormalise and project: the same branch on the same draw, every
+//! amplitude within 1e-14. The trajectory-level folds they enable are
+//! held to the 1e-12 expectation goldens in `tests/dense_goldens.rs`.
 
 use ca_circuit::c64::{C64, ONE, ZERO};
 use ca_circuit::matrix::{Mat2, Mat4};
@@ -145,8 +147,7 @@ impl State {
     pub fn apply_rz(&mut self, theta: f64, q: usize) {
         assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        let e0 = C64::cis(-theta / 2.0);
-        let e1 = C64::cis(theta / 2.0);
+        let [e0, e1] = rz_diag(theta);
         for block in self.amps.chunks_exact_mut(2 * bit) {
             let (lo, hi) = block.split_at_mut(bit);
             scale(lo, e0);
@@ -279,61 +280,107 @@ impl State {
         self.amps.len() - 1
     }
 
-    /// One Monte-Carlo-wavefunction step of amplitude damping with
-    /// decay probability `gamma` on qubit `q`, with a pending `Rz(theta)`
-    /// on `q` folded in: the jump step of `apply_rz(theta, q)` followed
-    /// by the damping Kraus pair `K0 = diag(1, √(1−γ))`,
-    /// `K1 = √γ·|0⟩⟨1|`, in one read pass and one write pass.
-    ///
-    /// The read pass sums `w_lo = Σ|a_lo|²` and `w_hi = Σ|a_hi|²`; one
-    /// draw `r` picks K0 when `r < w_lo + (1−γ)·w_hi` (K0's branch
-    /// weight, which the phase does not change). K0 scales the low half
-    /// by `e^{−iθ/2}/√w0` and the high half by `e^{iθ/2}·√(1−γ)/√w0`;
-    /// K1 moves the high half, times `e^{iθ/2}/√w_hi`, onto the low
-    /// half. A jump with zero weight (`γ·w_hi = 0`) takes K0 instead,
-    /// so the step never divides by zero. Returns whether it jumped.
-    pub fn apply_damping(
-        &mut self,
-        gamma: f64,
-        theta: f64,
-        q: usize,
-        rng: &mut impl RngExt,
-    ) -> bool {
+    /// `Σ|a|²` over the amplitudes with qubit `q` at 0 and at 1.
+    fn weights(&self, q: usize) -> (f64, f64) {
         assert!(q < self.n, "qubit {q} out of range");
         let bit = 1usize << q;
-        let r: f64 = rng.random();
-        let g = gamma.clamp(0.0, 1.0);
         let (mut w_lo, mut w_hi) = (0.0, 0.0);
         for block in self.amps.chunks_exact(2 * bit) {
             let (lo, hi) = block.split_at(bit);
             w_lo += lo.iter().map(|a| a.norm_sqr()).sum::<f64>();
             w_hi += hi.iter().map(|a| a.norm_sqr()).sum::<f64>();
         }
+        (w_lo, w_hi)
+    }
+
+    /// Applies the diagonal `diag(d[0], d[1])` to qubit `q`, skipping
+    /// an entry that is exactly one.
+    pub(crate) fn apply_diag(&mut self, d: Diag, q: usize) {
+        assert!(q < self.n, "qubit {q} out of range");
+        let bit = 1usize << q;
+        for block in self.amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            scale_unless_one(lo, d[0]);
+            scale_unless_one(hi, d[1]);
+        }
+    }
+
+    /// One Monte-Carlo-wavefunction step of amplitude damping with decay
+    /// probability `gamma` and draw `r` on qubit `q`, whose pending
+    /// diagonal `d` (not yet applied) precedes the Kraus pair
+    /// `K0 = diag(1, √(1−γ))`, `K1 = √γ·|0⟩⟨1|`.
+    ///
+    /// One read pass sums `w_lo` and `w_hi` of the state, which need
+    /// not be normalised; `d` must be unitary, so it leaves them as
+    /// they are. The step jumps when `r·(w_lo+w_hi) ≥ w_lo +
+    /// (1−γ)·w_hi` (the draw falls past K0's share of the weight) and
+    /// `γ·w_hi > 0`, so a zero-weight jump takes K0 instead and nothing
+    /// divides by zero.
+    /// A jump moves the high half, times `d[1]/√w_hi`, onto the low
+    /// half and returns `None`. Otherwise nothing is written: the
+    /// returned diagonal is `d·K0/√(w_lo + (1−γ)·w_hi)`, and either
+    /// branch leaves the state normalised once it is applied.
+    pub(crate) fn damping_step(&mut self, gamma: f64, r: f64, d: Diag, q: usize) -> Option<Diag> {
+        let g = gamma.clamp(0.0, 1.0);
+        let (w_lo, w_hi) = self.weights(q);
         let keep = 1.0 - g;
         let w0 = w_lo + keep * w_hi;
-        let jump = r >= w0 && g * w_hi > 0.0;
-        let halves = self
-            .amps
-            .chunks_exact_mut(2 * bit)
-            .map(|block| block.split_at_mut(bit));
-        if jump {
-            let e1 = C64::cis(theta / 2.0).scale(1.0 / w_hi.sqrt());
-            for (lo, hi) in halves {
+        if r * (w_lo + w_hi) >= w0 && g * w_hi > 0.0 {
+            let bit = 1usize << q;
+            let e1 = d[1].scale(1.0 / w_hi.sqrt());
+            for block in self.amps.chunks_exact_mut(2 * bit) {
+                let (lo, hi) = block.split_at_mut(bit);
                 for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
                     *x0 = *x1 * e1;
                     *x1 = ZERO;
                 }
             }
-        } else if w0 > 0.0 {
-            let inv = 1.0 / w0.sqrt();
-            let e0 = C64::cis(-theta / 2.0).scale(inv);
-            let e1 = C64::cis(theta / 2.0).scale(keep.sqrt() * inv);
-            for (lo, hi) in halves {
-                scale(lo, e0);
-                scale(hi, e1);
+            return None;
+        }
+        let inv = if w0 > 0.0 { 1.0 / w0.sqrt() } else { 1.0 };
+        Some([d[0].scale(inv), d[1].scale(keep.sqrt() * inv)])
+    }
+
+    /// Projective Z measurement of `q` with its pending diagonal `d`
+    /// folded in, on a state that need not be normalised; with `reset`
+    /// an outcome of 1 is then flipped to |0⟩. One read pass sums
+    /// `w_lo` and `w_hi`; one draw reads 1 when it falls below
+    /// `|d₁|²·w_hi / (|d₀|²·w_lo + |d₁|²·w_hi)`; one write pass zeroes
+    /// the other half and scales the kept one by `d_k/√(|d_k|²·w_k)`
+    /// (onto the low half for a reset of 1). Returns the outcome.
+    pub(crate) fn measure_diag(
+        &mut self,
+        q: usize,
+        d: Diag,
+        reset: bool,
+        rng: &mut impl RngExt,
+    ) -> bool {
+        let (w_lo, w_hi) = self.weights(q);
+        let (m0, m1) = (d[0].norm_sqr() * w_lo, d[1].norm_sqr() * w_hi);
+        let outcome = rng.random::<f64>() < m1 / (m0 + m1);
+        let (kept, e) = if outcome { (m1, d[1]) } else { (m0, d[0]) };
+        let e = e.scale(if kept > 0.0 { 1.0 / kept.sqrt() } else { 0.0 });
+        let bit = 1usize << q;
+        for block in self.amps.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = block.split_at_mut(bit);
+            match (outcome, reset) {
+                (false, _) => {
+                    scale(lo, e);
+                    hi.fill(ZERO);
+                }
+                (true, false) => {
+                    lo.fill(ZERO);
+                    scale(hi, e);
+                }
+                (true, true) => {
+                    for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
+                        *x0 = *x1 * e;
+                        *x1 = ZERO;
+                    }
+                }
             }
         }
-        jump
+        outcome
     }
 
     /// Fidelity |⟨other|self⟩|².
@@ -346,6 +393,18 @@ impl State {
             .sum();
         ip.norm_sqr()
     }
+}
+
+/// A single-qubit diagonal `diag(d[0], d[1])`: the form a pending
+/// flush takes before it is applied or folded into a gate.
+pub(crate) type Diag = [C64; 2];
+
+/// The identity [`Diag`].
+pub(crate) const IDENTITY_DIAG: Diag = [ONE, ONE];
+
+/// `Rz(θ)` as a [`Diag`].
+pub(crate) fn rz_diag(theta: f64) -> Diag {
+    [C64::cis(-theta / 2.0), C64::cis(theta / 2.0)]
 }
 
 /// `x ← x·e` over a slice.
@@ -501,8 +560,7 @@ mod tests {
     fn amplitude_damping_relaxes_excited_state() {
         // γ = 1: the excited state must fully decay to |0⟩.
         let mut s = State::basis(1, 1);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(s.apply_damping(1.0, 0.0, 0, &mut rng));
+        assert!(s.damping_step(1.0, 0.5, IDENTITY_DIAG, 0).is_none());
         assert!((s.prob_one(0)).abs() < TOL);
         assert!((s.norm_sqr() - 1.0).abs() < TOL);
     }
@@ -514,7 +572,9 @@ mod tests {
         let mut decayed = 0;
         for _ in 0..3000 {
             let mut s = State::basis(1, 1);
-            s.apply_damping(g, 0.4, 0, &mut rng);
+            if let Some(d) = s.damping_step(g, rng.random(), rz_diag(0.4), 0) {
+                s.apply_diag(d, 0);
+            }
             if s.prob_one(0) < 0.5 {
                 decayed += 1;
             }
@@ -550,14 +610,16 @@ mod tests {
     fn damping_with_an_empty_high_half_never_jumps() {
         // Qubit 0 has no excited weight, and the state's norm² is 1/4,
         // so most draws land above K0's weight: each must still keep
-        // K0 and leave finite amplitudes, for every γ including 1.
+        // K0 and, once its diagonal is applied, leave finite amplitudes
+        // of unit norm, for every γ including 1.
         for gamma in [0.0, 0.5, 1.0] {
             let mut rng = StdRng::seed_from_u64(3);
             for _ in 0..64 {
                 let mut s = State::zero(2);
                 s.apply_1q(&Gate::H.matrix1().unwrap(), 1);
                 s.amps.iter_mut().for_each(|a| *a = a.scale(0.5));
-                assert!(!s.apply_damping(gamma, 0.7, 0, &mut rng));
+                let d = s.damping_step(gamma, rng.random(), rz_diag(0.7), 0);
+                s.apply_diag(d.expect("no weight to jump from"), 0);
                 assert!(s.amps.iter().all(|a| a.re.is_finite() && a.im.is_finite()));
                 assert!((s.norm_sqr() - 1.0).abs() < TOL);
             }
@@ -575,7 +637,7 @@ mod tests {
 
 /// The index-testing kernels the blocked ones replaced, kept as the
 /// oracle for the module's exactness rule, and the Kraus-channel
-/// sampler [`State::apply_damping`] fuses, kept as its oracle.
+/// sampler [`State::damping_step`] fuses, kept as its oracle.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -859,6 +921,11 @@ mod exactness {
                 got.apply_rz(theta, q);
                 reference::apply_rz(&mut want, theta, q);
                 prop_assert_eq!(&got.amps, &want.amps, "apply_rz on {}", q);
+                let d = [entry(&mut rng, 1), entry(&mut rng, 1)];
+                let (mut got, mut want) = (s.clone(), s.clone());
+                got.apply_diag(d, q);
+                reference::apply_1q(&mut want, &Mat2([[d[0], ZERO], [ZERO, d[1]]]), q);
+                prop_assert_eq!(&got.amps, &want.amps, "apply_diag on {}", q);
                 let (mut got, mut want) = (s.clone(), s.clone());
                 got.apply_x(q);
                 reference::apply_x(&mut want, q);
@@ -893,35 +960,90 @@ mod exactness {
             }
         }
 
-        /// The fused damping step is not held to `==`: it folds the
+        /// The damping read/jump step is not held to `==`: it folds the
         /// pending phase and the renormalisation into one scale, which
-        /// rounds differently. It must take the reference's branch on
-        /// the same draw and agree to 1e-14 per amplitude component.
+        /// rounds differently. On a state scaled by `2⁻²⁰⁰` (the
+        /// deferred norm; a power of two scales every weight exactly)
+        /// it must take the reference's branch on the same draw and,
+        /// once its diagonal is applied, agree to 1e-14 per amplitude
+        /// component with `Rz` + Kraus + renormalise on the normalised
+        /// state.
         #[test]
         fn damping_step_matches_rz_then_kraus(n in 1..9usize, seed in 0..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
             let s = random_state(n, &mut rng);
+            let mut scaled = s.clone();
+            scaled.amps.iter_mut().for_each(|a| *a = a.scale(TINY));
             for q in 0..n {
                 for gamma in [rng.random::<f64>(), rng.random::<f64>() * 1e-3, 1.0] {
                     let theta = angle(&mut rng);
                     let draw = rng.random::<u64>();
-                    let mut got = s.clone();
-                    let jumped = got.apply_damping(gamma, theta, q, &mut StdRng::seed_from_u64(draw));
+                    let r: f64 = StdRng::seed_from_u64(draw).random();
+                    let mut got = scaled.clone();
+                    let kept = got.damping_step(gamma, r, rz_diag(theta), q);
+                    if let Some(d) = kept {
+                        got.apply_diag(d, q);
+                    }
                     let mut want = s.clone();
                     reference::apply_rz(&mut want, theta, q);
                     let kraus = amplitude_damping_kraus(gamma);
                     let k0_weight = reference::branch_weight(&want, &kraus[0], q);
                     reference::apply_kraus_1q(&mut want, &kraus, q, &mut StdRng::seed_from_u64(draw));
-                    let r: f64 = StdRng::seed_from_u64(draw).random();
-                    prop_assert_eq!(jumped, r >= k0_weight, "branch on {} at γ {}", q, gamma);
-                    for (a, b) in got.amps.iter().zip(&want.amps) {
-                        prop_assert!(
-                            (a.re - b.re).abs() <= 1e-14 && (a.im - b.im).abs() <= 1e-14,
-                            "damping on {} at γ {}: {:?} vs {:?}", q, gamma, a, b
-                        );
-                    }
+                    prop_assert_eq!(kept.is_none(), r >= k0_weight, "branch on {} at γ {}", q, gamma);
+                    assert_close(&got, &want, &format!("damping on {q} at γ {gamma}"))?;
                 }
             }
         }
+
+        /// The fused measure against `diag(d)`, renormalise, measure
+        /// (and `X` on a reset of 1) on the reference kernels: the same
+        /// outcome on the same draw, and amplitudes within 1e-14, from
+        /// a state scaled by `2⁻²⁰⁰` and pending diagonals that carry a
+        /// phase and a damping K0.
+        #[test]
+        fn fused_measure_matches_diag_then_project(n in 1..9usize, seed in 0..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = random_state(n, &mut rng);
+            let mut scaled = s.clone();
+            scaled.amps.iter_mut().for_each(|a| *a = a.scale(TINY));
+            for q in 0..n {
+                for reset in [false, true] {
+                    let theta = angle(&mut rng);
+                    let keep = [1.0, rng.random::<f64>()][rng.random_range(0..2usize)];
+                    let d = [C64::cis(-theta / 2.0), C64::cis(theta / 2.0).scale(keep.sqrt())];
+                    let draw = rng.random::<u64>();
+                    let mut got = scaled.clone();
+                    let outcome = got.measure_diag(q, d, reset, &mut StdRng::seed_from_u64(draw));
+                    let mut want = s.clone();
+                    reference::apply_1q(&mut want, &Mat2([[d[0], ZERO], [ZERO, d[1]]]), q);
+                    want.renormalize();
+                    let r: f64 = StdRng::seed_from_u64(draw).random();
+                    let want_outcome = r < reference::prob_one(&want, q);
+                    reference::project(&mut want, q, want_outcome);
+                    if reset && want_outcome {
+                        reference::apply_x(&mut want, q);
+                    }
+                    prop_assert_eq!(outcome, want_outcome, "outcome on {}", q);
+                    assert_close(&got, &want, &format!("measure on {q}, reset {reset}"))?;
+                }
+            }
+        }
+    }
+
+    /// `2⁻²⁰⁰`: an unnormalised state's scale that rounds nothing.
+    const TINY: f64 = 6.223_015_277_861_142e-61;
+
+    /// Every amplitude component within 1e-14.
+    fn assert_close(got: &State, want: &State, what: &str) -> Result<(), TestCaseError> {
+        for (a, b) in got.amps.iter().zip(&want.amps) {
+            prop_assert!(
+                (a.re - b.re).abs() <= 1e-14 && (a.im - b.im).abs() <= 1e-14,
+                "{}: {:?} vs {:?}",
+                what,
+                a,
+                b
+            );
+        }
+        Ok(())
     }
 }

@@ -931,8 +931,8 @@ fn dense_expectations_identical_across_worker_counts() {
     const PINNED: [u64; 4] = [
         0x3fed_d4c2_6f5b_5fb8,
         0xbfb6_2bc6_1736_de91,
-        0xbf91_e9a4_6c56_24b8,
-        0x3fbb_e31e_4d27_e75a,
+        0xbf91_e9a4_6c56_24b5,
+        0x3fbb_e31e_4d27_e75d,
     ];
     let mut qc = Circuit::new(N, 0);
     for q in 0..N {
